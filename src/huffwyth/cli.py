@@ -50,7 +50,7 @@ def format_trace_table(trace, marker: str = MARKER) -> str:
     for i, seq in enumerate(trace.sequences()):
         cells = [str(w) for w in seq]
         if i > 0 and len(seq) > 1:
-            cells[trace.steps[i - 1].insert_pos - 1] += marker
+            cells[trace.positions[i - 1] - 1] += marker
         lines.append(f"{i:>4} | {' '.join(cells)}")
     return "\n".join(lines) + "\n"
 
@@ -64,8 +64,7 @@ def format_trace_csv(trace) -> str:
         if i == 0:
             merged, pos = "", ""
         else:
-            step = trace.steps[i - 1]
-            merged, pos = step.merged_value, step.insert_pos
+            merged, pos = trace.merged[i - 1], trace.positions[i - 1]
         writer.writerow([i, merged, pos, " ".join(str(w) for w in seq)])
     return buf.getvalue()
 
@@ -239,6 +238,21 @@ def _cmd_verify(args, out) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # Since 3.11 (and 3.10.7) Python refuses to convert ints of more than
+    # 4300 digits to or from text by default; exact values such as
+    # fib --n 30000 exceed that.  The limit is restored for in-process callers.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv)
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
 
     def out(*parts, end="\n"):
         print(*parts, end=end)

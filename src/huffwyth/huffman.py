@@ -1,10 +1,21 @@
 """Stepwise Huffman algorithm over integer weight sequences, with full traces.
 
 Input is a non-decreasing sequence of n positive integer weights.  Each step
-removes the two smallest entries, inserts their sum back into the sorted
-remainder, and records the whole intermediate sequence; after n-1 steps a
-single value remains, the sum of all weights.  The i-th step consumes the
-sequence P(i-1) and produces P(i), with P(0) the input.
+removes the two smallest entries and inserts their sum back into the sorted
+remainder; after n-1 steps a single value remains, the sum of all weights.
+The i-th step consumes the sequence P(i-1) and produces P(i), with P(0) the
+input.
+
+Engine.  One two-queue merge (van Leeuwen, "On the construction of Huffman
+trees", ICALP 1976) serves the trace, the tree, classification and the
+oracle.  Merged sums come out non-decreasing, so P(i) is always the union of
+two sorted queues: the leaves not yet consumed, behind a pointer into the
+input, and the merged values not yet consumed.  Each step takes the two
+smaller queue heads, reads p3 off the heads that remain, and finds the
+merged value's insert position by bisect on both queues: O(n log n)
+comparisons in all.  The rows P(i) themselves take O(n^2) space, so a trace
+stores only merged values, positions and tie flags, and rebuilds the rows
+when a caller first asks for them.
 
 Ties.  When the merged sum equals an existing entry the insertion point is
 ambiguous and a TiePolicy resolves it:
@@ -12,6 +23,9 @@ ambiguous and a TiePolicy resolves it:
     MERGED_BEFORE_EQUALS    merged node goes in front of equal entries
     MERGED_AFTER_EQUALS     merged node goes behind equal entries
 
+In queue terms, MERGED_BEFORE_EQUALS takes a merged node ahead of an equal
+leaf and consumes each block of equal merged values newest first (LIFO);
+MERGED_AFTER_EQUALS takes the leaf first and the block oldest first (FIFO).
 Both policies produce the same intermediate value sequences and the same
 weighted external path length; only which node later merges consume differs,
 hence the tree shape.  Placing the merged node before its equals consumes
@@ -38,6 +52,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Union
 
 __all__ = [
@@ -122,54 +137,106 @@ class StepRecord:
     insert_pos: int
 
 
+def _merge(seq, before):
+    """Run the two-queue merge on a validated sorted tuple.
+
+    Returns (merged, positions, ties, picks): the merged value of each step,
+    its 1-based insert position in the step output, the flags
+    p2(i) == p3(i) for the rows i = 0..n-3, and the two nodes each step
+    consumes, in queue order.  A pick below n is a leaf index; n + q is the
+    node made by step q+1.  `before` selects MERGED_BEFORE_EQUALS.
+    """
+    n = len(seq)
+    merged, positions, ties, picks = [], [], [], []
+    i = j = 0           # heads of the leaf queue seq[i:] and the merged queue merged[j:]
+    end = mirror = 0    # `before`: the equal-value block of merged[] being consumed ends at end
+    for _ in range(n - 1):
+        total = 0
+        for _ in (0, 1):
+            if j < len(merged) and (i == n or merged[j] < seq[i] or before and merged[j] == seq[i]):
+                if before and j == end:
+                    # A block is complete when first reached: a later merge
+                    # sums two entries of at least its value.
+                    end = bisect_right(merged, merged[j], j)
+                    mirror = j + end - 1
+                last = merged[j]
+                picks.append(n + (mirror - j if before else j))
+                j += 1
+            else:
+                last = seq[i]
+                picks.append(i)
+                i += 1
+            total += last
+        if i < n:
+            ties.append(last == (seq[i] if j == len(merged) or seq[i] < merged[j] else merged[j]))
+        elif j < len(merged):
+            ties.append(last == merged[j])
+        if before:
+            pos = bisect_left(seq, total, i) - i + bisect_left(merged, total, j) - j
+        else:
+            pos = bisect_right(seq, total, i) - i + len(merged) - j
+        merged.append(total)
+        positions.append(pos + 1)
+    return merged, positions, ties, picks
+
+
 @dataclass(frozen=True)
 class HuffmanTrace:
-    """Complete record of a Huffman run: input, all steps, final total."""
+    """Record of a Huffman run: the input and, per step, what the engine emits.
+
+    merged[i-1] and positions[i-1] are the merged value of step i and its
+    1-based position in P(i); ties[i] is p2(i) == p3(i) for i = 0..n-3.
+    The rows P(i) and the StepRecords are rebuilt from these on first
+    request and cached.
+    """
 
     initial: tuple[int, ...]
-    steps: tuple[StepRecord, ...]
-    total: int
+    merged: tuple[int, ...]
+    positions: tuple[int, ...]
+    ties: tuple[bool, ...]
 
     @property
     def size(self) -> int:
         return len(self.initial)
 
+    @property
+    def total(self) -> int:
+        return self.merged[-1] if self.merged else self.initial[0]
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = [self.initial]
+        for value, pos in zip(self.merged, self.positions):
+            prev = rows[-1]
+            rows.append(prev[2:pos + 1] + (value,) + prev[pos + 1:])
+        return tuple(rows)
+
+    @cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """One StepRecord per step; the first access builds every row."""
+        return tuple(
+            StepRecord(i, row, value, pos)
+            for i, (row, value, pos) in enumerate(zip(self._rows, self.merged, self.positions), 1)
+        )
+
     def sequences(self) -> list[tuple[int, ...]]:
         """Return [P(0), P(1), ..., P(n-1)]; the last entry is (total,)."""
-        if not self.steps:
-            return [self.initial]
-        seqs = [step.input_seq for step in self.steps]
-        seqs.append((self.total,))
-        return seqs
+        return list(self._rows)
 
     def merged_values(self) -> list[int]:
-        return [step.merged_value for step in self.steps]
-
-
-def _insert_index(sorted_vals, value, tie_policy, key=None):
-    if tie_policy is TiePolicy.MERGED_BEFORE_EQUALS:
-        return bisect_left(sorted_vals, value, key=key)
-    return bisect_right(sorted_vals, value, key=key)
+        return list(self.merged)
 
 
 def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> HuffmanTrace:
-    """Run the Huffman merge process and return its full trace.
+    """Run the Huffman merge process and return its trace.
 
     Raises EmptySequenceError, NotSortedError, or ValueError for invalid
     input.  The weights must already be sorted; callers wanting a
     sort-first behaviour sort before calling.
     """
     seq = validate_weights(weights)
-    steps = []
-    cur = list(seq)
-    for i in range(1, len(seq)):
-        merged = cur[0] + cur[1]
-        rest = cur[2:]
-        idx = _insert_index(rest, merged, tie_policy)
-        steps.append(StepRecord(i, tuple(cur), merged, idx + 1))
-        rest.insert(idx, merged)
-        cur = rest
-    return HuffmanTrace(seq, tuple(steps), sum(seq))
+    merged, positions, ties, _ = _merge(seq, tie_policy is TiePolicy.MERGED_BEFORE_EQUALS)
+    return HuffmanTrace(seq, tuple(merged), tuple(positions), tuple(ties))
 
 
 @dataclass(frozen=True)
@@ -187,31 +254,23 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
-def _merge_nodes(first: Node, second: Node) -> Internal:
-    # A lone leaf always becomes the right child; otherwise keep queue order.
-    total = first.weight + second.weight
-    if isinstance(first, Leaf) and isinstance(second, Internal):
-        return Internal(second, first, total)
-    if isinstance(second, Leaf) and isinstance(first, Internal):
-        return Internal(first, second, total)
-    return Internal(first, second, total)
-
-
 def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> Node:
-    """Build the Huffman tree, resolving ties exactly as run_huffman does.
+    """Build the Huffman tree from the merge engine's picks.
 
-    The node queue mirrors the traced value sequences step for step, so the
-    merged weights seen here equal the trace's merged values.
+    Each step's two nodes combine in queue order, except that a lone leaf
+    always becomes the right child; the internal weights are the trace's
+    merged values.
     """
     seq = validate_weights(weights)
-    queue: list[Node] = [Leaf(w) for w in seq]
-    while len(queue) > 1:
-        node = _merge_nodes(queue[0], queue[1])
-        rest = queue[2:]
-        idx = _insert_index(rest, node.weight, tie_policy, key=lambda nd: nd.weight)
-        rest.insert(idx, node)
-        queue = rest
-    return queue[0]
+    n = len(seq)
+    merged, _, _, picks = _merge(seq, tie_policy is TiePolicy.MERGED_BEFORE_EQUALS)
+    nodes: list[Node] = [Leaf(w) for w in seq]
+    it = iter(picks)
+    for value, a, b in zip(merged, it, it):
+        if a < n <= b:
+            a, b = b, a
+        nodes.append(Internal(nodes[a], nodes[b], value))
+    return nodes[-1]
 
 
 def _walk_leaves(tree: Node):
@@ -321,6 +380,13 @@ class OrderClass:
     def unordered(cls) -> "OrderClass":
         return cls(OrderKind.UNORDERED)
 
+    def tie_flags(self, n: int) -> list[bool]:
+        """The flags p2(i) == p3(i), i = 0..n-3, of every size-n member of this class."""
+        if self.kind is OrderKind.UNORDERED:
+            raise ValueError("unordered sequences share no single tie pattern")
+        lead = 0 if self.kind is OrderKind.ABSOLUTELY_ORDERED else self.k + 1
+        return [True] * lead + [False] * (n - 2 - lead)
+
     def __str__(self) -> str:
         if self.kind is OrderKind.K_ORDERED:
             return f"{self.k}-ordered"
@@ -332,13 +398,13 @@ def classify_trace(trace: HuffmanTrace) -> OrderClass:
     n = trace.size
     if n < 3:
         raise TooShortError(f"classification needs at least 3 weights, got {n}")
-    seqs = trace.sequences()
-    tie_rows = [i for i in range(n - 2) if seqs[i][1] == seqs[i][2]]
-    if not tie_rows:
+    ties = trace.ties
+    lead = ties.index(False) if False in ties else len(ties)
+    if True in ties[lead:]:
+        return OrderClass.unordered()
+    if lead == 0:
         return OrderClass.absolutely_ordered()
-    if tie_rows == list(range(len(tie_rows))):
-        return OrderClass.k_ordered(len(tie_rows) - 1)
-    return OrderClass.unordered()
+    return OrderClass.k_ordered(lead - 1)
 
 
 def classify_order(weights: Iterable[int]) -> OrderClass:
@@ -383,7 +449,12 @@ def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
 
 
 def trace_from_json(text: str) -> HuffmanTrace:
-    """Parse a trace produced by trace_to_json back into a HuffmanTrace."""
+    """Parse a trace produced by trace_to_json back into a HuffmanTrace.
+
+    The document must be a run of its own initial weights under one of the
+    tie policies: every stored row, merged value, position and the total
+    must replay.  Anything else raises ValueError.
+    """
     try:
         doc = json.loads(text)
         initial = tuple(int(w) for w in doc["initial"])
@@ -399,4 +470,8 @@ def trace_from_json(text: str) -> HuffmanTrace:
         total = int(doc["total"])
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed trace document: {exc}") from exc
-    return HuffmanTrace(initial, steps, total)
+    for policy in TiePolicy:
+        trace = run_huffman(initial, policy)
+        if trace.steps == steps and trace.total == total:
+            return trace
+    raise ValueError("trace document does not replay from its initial weights")

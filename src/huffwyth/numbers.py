@@ -20,24 +20,36 @@ import math
 __all__ = ["fib", "lucas", "isqrt", "lower_wythoff"]
 
 
-def fib(i: int) -> int:
-    """Return the i-th Fibonacci number (F(0) = 0, F(1) = 1)."""
+def _fib_pair(i: int) -> tuple[int, int]:
+    """Return (F(i), F(i+1)) by fast doubling, in O(log i) multiplications.
+
+    F(2k) = F(k) * (2 F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2, taken
+    over the bits of i from the top.
+    """
     if i < 0:
         raise ValueError(f"Fibonacci index must be nonnegative, got {i}")
     a, b = 0, 1
-    for _ in range(i):
-        a, b = b, a + b
-    return a
+    for bit in bin(i)[2:]:
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
+
+
+def fib(i: int) -> int:
+    """Return the i-th Fibonacci number (F(0) = 0, F(1) = 1)."""
+    return _fib_pair(i)[0]
 
 
 def lucas(i: int) -> int:
-    """Return the i-th Lucas number (L(1) = 1, L(2) = 3); defined for i >= 1."""
+    """Return the i-th Lucas number (L(1) = 1, L(2) = 3); defined for i >= 1.
+
+    L(i) = F(i-1) + F(i+1) = 2 F(i+1) - F(i).
+    """
     if i < 1:
         raise ValueError(f"Lucas index must be >= 1, got {i}")
-    a, b = 1, 3
-    for _ in range(i - 1):
-        a, b = b, a + b
-    return a
+    a, b = _fib_pair(i)
+    return 2 * b - a
 
 
 def isqrt(x: int) -> int:

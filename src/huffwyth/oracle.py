@@ -12,10 +12,10 @@ elongated tree costs
     elongated_cost(P) = (n-1) * p1 + sum over i = 2..n of (n-i+1) * pi
 
 and P admits an elongated optimal tree exactly when this equals the true
-Huffman cost.  The Huffman cost is taken from the trace as the sum of all
-merged values (each weight contributes once per merge containing it, i.e.
-once per level above its leaf), giving a cost path that never touches the
-tree builder.
+Huffman cost.  The Huffman cost is taken from the merge engine as the sum
+of all merged values (each weight contributes once per merge containing it,
+i.e. once per level above its leaf), giving a cost path that never touches
+the tree builder.
 
 optimal_tree_cost cross-checks from a third direction: it enumerates every
 strictly binary tree shape on n leaves (as a set of leaf depth multisets),
@@ -29,8 +29,7 @@ from itertools import combinations_with_replacement
 import json
 import math
 
-from .huffman import OrderClass, run_huffman, validate_weights
-from .huffman import classify_trace
+from .huffman import OrderClass, _merge, run_huffman, validate_weights
 from .theorems import min_abs_cost, min_abs_sequence, min_k_cost, min_k_sequence
 
 __all__ = [
@@ -159,11 +158,14 @@ def _scan_class(n, target, closed_seq, closed_cost, k, max_weight, limit):
     best = None
     best_seqs = []
     members = 0
+    pattern = target.tie_flags(n)
     for cand in enumerate_sequences(n, max_weight):
-        trace = run_huffman(cand)
-        if classify_trace(trace) != target:
+        # Candidates are valid by construction, so the scan runs the merge
+        # engine directly and compares its tie flags with the class pattern.
+        merged, _, ties, _ = _merge(cand, True)
+        if ties != pattern:
             continue
-        cost = sum(step.merged_value for step in trace.steps)
+        cost = sum(merged)
         if cost != elongated_cost(cand):
             continue  # no optimal tree of this sequence is elongated
         members += 1

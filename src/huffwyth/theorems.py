@@ -25,7 +25,7 @@ their weighted external path lengths have closed forms:
   1, F(1), ..., F(n-1), with costs F(n+3) + F(n+1) - (n+3) and F(n+3) - 3.
 """
 
-from .numbers import fib, lucas
+from .numbers import fib
 from .wythoff import wythoff_row
 
 __all__ = [
@@ -59,15 +59,19 @@ def _check_k(n: int, k: int) -> None:
         raise KOutOfRangeError(f"need 0 <= k <= n-3 = {n - 3}, got {k}")
 
 
+def _fibs(m: int) -> list[int]:
+    """[F(0), ..., F(m)] by a running pair."""
+    out, a, b = [], 0, 1
+    for _ in range(m + 1):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
 def min_abs_sequence(n: int) -> tuple[int, ...]:
     """The minimizing absolutely ordered sequence F(1), ..., F(n)."""
     _check_n(n)
-    seq = []
-    a, b = 1, 1
-    for _ in range(n):
-        seq.append(a)
-        a, b = b, a + b
-    return tuple(seq)
+    return tuple(_fibs(n)[1:])
 
 
 def min_abs_cost(n: int) -> int:
@@ -83,24 +87,17 @@ def min_k_sequence(n: int, k: int) -> tuple[int, ...]:
     is F(k+2); see the module docstring for the exact indexing.
     """
     _check_k(n, k)
-    seq = [1]
-    a, b = 1, 1
-    for _ in range(k + 1):          # p2 .. p(k+2) = F(1) .. F(k+1)
-        seq.append(a)
-        a, b = b, a + b
-    seq.extend(wythoff_row(fib(k + 2), n - k - 2))
-    return tuple(seq)
+    f = _fibs(k + 2)
+    # p2 .. p(k+2) = F(1) .. F(k+1), then row F(k+2) of the Wythoff array
+    return (1, *f[1:k + 2], *wythoff_row(f[k + 2], n - k - 2))
 
 
 def min_k_sequence_fib_form(n: int, k: int) -> tuple[int, ...]:
     """Same sequence as min_k_sequence, via pi = F(i-1) + F(i-k-3) for the tail."""
     _check_k(n, k)
-    seq = [1]
-    for i in range(2, k + 4):       # p2 .. p(k+3) = F(1) .. F(k+2)
-        seq.append(fib(i - 1))
-    for i in range(k + 4, n + 1):
-        seq.append(fib(i - 1) + fib(i - k - 3))
-    return tuple(seq)
+    f = _fibs(n - 1)
+    # p2 .. p(k+3) = F(1) .. F(k+2)
+    return (1, *f[1:k + 3], *(f[i - 1] + f[i - k - 3] for i in range(k + 4, n + 1)))
 
 
 def min_k_cost(n: int, k: int) -> int:
@@ -116,6 +113,7 @@ def corollary_sequences(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (1, F(1), ..., F(n-1)), the (n-3)-ordered one.
     """
     _check_n(n)
-    lucas_form = (1, 1) + tuple(lucas(i) for i in range(1, n - 1))
-    fib_form = (1,) + tuple(fib(i) for i in range(1, n))
-    return lucas_form, fib_form
+    f = _fibs(n - 1)
+    # L(i) = F(i-1) + F(i+1)
+    lucas_form = (1, 1, *(f[i - 1] + f[i + 1] for i in range(1, n - 1)))
+    return lucas_form, (1, *f[1:n])

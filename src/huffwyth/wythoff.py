@@ -18,7 +18,7 @@ Fibonacci numbers:
     w[F(i)][j] = F(i+j) + F(j)      for all j >= 0
 """
 
-from .numbers import fib, lower_wythoff
+from .numbers import _fib_pair, fib, lower_wythoff
 
 __all__ = ["wythoff_entry", "wythoff_row", "check_fib_row_identity"]
 
@@ -29,12 +29,11 @@ def wythoff_entry(i: int, j: int) -> int:
         raise ValueError(f"row index must be nonnegative, got {i}")
     if j < 0:
         raise ValueError(f"column index must be nonnegative, got {j}")
-    a, b = i, lower_wythoff(i)
     if j == 0:
-        return a
-    for _ in range(j - 1):
-        a, b = b, a + b
-    return b
+        return i
+    # Every row obeys the Fibonacci rule, so w[i][j] = F(j-1) w[i][0] + F(j) w[i][1].
+    f_prev, f = _fib_pair(j - 1)
+    return f_prev * i + f * lower_wythoff(i)
 
 
 def wythoff_row(i: int, length: int) -> list[int]:

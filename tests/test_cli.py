@@ -1,6 +1,8 @@
 import json
+import sys
 
 from huffwyth import cli, oracle
+from huffwyth.numbers import fib
 from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import run_huffman, trace_from_json
 
@@ -21,6 +23,22 @@ def test_fib(capsys):
 def test_lucas(capsys):
     rc, out, _ = run(capsys, "lucas", "--n", "8")
     assert rc == 0 and out == "47\n"
+
+
+def test_fib_beyond_int_string_limit(capsys):
+    # F(30000) has 6270 digits, past the 4300-digit default of Python 3.11+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    saved = limit()
+    rc, out, _ = run(capsys, "fib", "--n", "30000")
+    digits = out.strip()
+    assert rc == 0
+    a, b = 0, 1
+    for _ in range(30000):
+        a, b = b, (a + b) % 10 ** 18
+    assert digits[-18:] == f"{a:018d}"
+    assert len(digits) == 6270
+    assert 10 ** 6269 <= fib(30000) < 10 ** 6270
+    assert limit() == saved     # main() restores the caller's limit
 
 
 def test_fib_negative_is_input_error(capsys):

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
+    HuffmanTrace,
     Internal,
     Leaf,
     NotSortedError,
@@ -16,6 +19,7 @@ from huffwyth.huffman import (
     build_tree,
     check_elongated_inequality,
     classify_order,
+    classify_trace,
     codebook,
     is_elongated,
     is_left_sided,
@@ -27,6 +31,8 @@ from huffwyth.huffman import (
     validate_weights,
     wepl,
 )
+from huffwyth.theorems import min_abs_sequence
+from reference_huffman import reference_trace, reference_tree
 
 FIB10 = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
@@ -36,6 +42,10 @@ weight_seqs = st.lists(
 
 tie_seqs = st.lists(
     st.integers(min_value=1, max_value=6), min_size=3, max_size=10
+).map(lambda ws: tuple(sorted(ws)))
+
+tie_heavy_seqs = st.lists(
+    st.integers(min_value=1, max_value=3), min_size=1, max_size=20
 ).map(lambda ws: tuple(sorted(ws)))
 
 
@@ -129,6 +139,59 @@ def test_intermediate_sequences_sorted_and_conserving(weights):
     for seq in seqs:
         assert list(seq) == sorted(seq)
         assert sum(seq) == trace.total
+
+
+# ---------------------------------------------------------------- engine vs reference
+
+def assert_matches_reference(weights, policy):
+    rows, merged, positions = reference_trace(weights, policy)
+    trace = run_huffman(weights, policy)
+    assert list(trace.merged) == merged
+    assert list(trace.positions) == positions
+    assert trace.ties == tuple(row[1] == row[2] for row in rows if len(row) >= 3)
+    assert trace.sequences() == rows
+    assert [step.input_seq for step in trace.steps] == rows[:-1]
+    assert build_tree(weights, policy) == reference_tree(weights, policy)
+
+
+@given(st.one_of(weight_seqs, tie_heavy_seqs), st.sampled_from(list(TiePolicy)))
+def test_engine_matches_slicing_reference(weights, policy):
+    assert_matches_reference(weights, policy)
+
+
+def test_engine_matches_slicing_reference_bulk():
+    # long runs of equal merged values exercise the LIFO/FIFO block order
+    rng = random.Random(11)
+    for _ in range(1500):
+        n = rng.randint(1, 40)
+        hi = rng.choice((1, 2, 3, 10, 1000))
+        weights = tuple(sorted(rng.randint(1, hi) for _ in range(n)))
+        for policy in TiePolicy:
+            assert_matches_reference(weights, policy)
+
+
+def test_scale_without_rows(monkeypatch):
+    # cost, class and tree at n = 10^5 (10^4 for the height n-1 Fibonacci
+    # input, whose weights grow to 2090 digits) never build the O(n^2) rows
+    def no_rows(trace):
+        raise AssertionError("intermediate rows were built")
+
+    monkeypatch.setattr(HuffmanTrace, "_rows", property(no_rows))
+    rng = random.Random(5)
+    n = 10 ** 5
+    cases = [
+        (tuple(sorted(rng.randint(1, 3) for _ in range(n))), TiePolicy.MERGED_AFTER_EQUALS),
+        (tuple(sorted(rng.sample(range(1, 10 ** 18), n))), TiePolicy.MERGED_BEFORE_EQUALS),
+        (min_abs_sequence(10 ** 4), TiePolicy.MERGED_BEFORE_EQUALS),
+    ]
+    start = time.perf_counter()
+    for weights, policy in cases:
+        trace = run_huffman(weights, policy)
+        cls = classify_trace(trace)
+        assert wepl(build_tree(weights, policy)) == sum(trace.merged)
+    assert cls == OrderClass.absolutely_ordered()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"n = 10^5 cost, class and tree took {elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------- trees
@@ -295,6 +358,15 @@ def test_classify_policy_independent():
     inner()
 
 
+def test_tie_flags_are_the_class_pattern():
+    for ex in GOLDEN_EXAMPLES:
+        trace = run_huffman(ex.weights)
+        assert list(trace.ties) == classify_trace(trace).tie_flags(ex.n)
+    assert OrderClass.k_ordered(1).tie_flags(5) == [True, True, False]
+    with pytest.raises(ValueError):
+        OrderClass.unordered().tie_flags(5)
+
+
 def test_order_class_str():
     assert str(OrderClass.absolutely_ordered()) == "absolutely-ordered"
     assert str(OrderClass.k_ordered(4)) == "4-ordered"
@@ -356,3 +428,38 @@ def test_trace_json_malformed():
         trace_from_json("{}")
     with pytest.raises(ValueError):
         trace_from_json("not json")
+
+
+def _edit_row(doc):
+    doc["steps"][3]["input"][1] = "6"
+
+
+def _edit_merged(doc):
+    doc["steps"][2]["merged"] = "8"
+
+
+def _edit_pos(doc):
+    doc["steps"][0]["pos"] = 5
+
+
+def _edit_total(doc):
+    doc["total"] = "144"
+
+
+def _drop_step(doc):
+    del doc["steps"][4]
+
+
+@pytest.mark.parametrize("edit", [_edit_row, _edit_merged, _edit_pos, _edit_total, _drop_step])
+def test_trace_json_rejects_rows_that_do_not_replay(edit):
+    doc = json.loads(trace_to_json(run_huffman(FIB10)))
+    edit(doc)
+    with pytest.raises(ValueError):
+        trace_from_json(json.dumps(doc))
+
+
+def test_trace_json_accepts_either_tie_policy():
+    weights = (1, 1, 2, 2, 3)
+    for policy in TiePolicy:
+        trace = run_huffman(weights, policy)
+        assert trace_from_json(trace_to_json(trace)) == trace

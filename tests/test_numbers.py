@@ -36,6 +36,20 @@ def test_fib_recurrence_and_growth():
         assert vals[i] > vals[i - 1] or i == 2
 
 
+def test_fast_doubling_matches_running_pair():
+    # the running-pair loops fib and lucas used before, as the reference
+    a, b = 0, 1
+    for i in range(2500):
+        assert fib(i) == a
+        a, b = b, a + b
+    a, b = 1, 3
+    for i in range(1, 2500):
+        assert lucas(i) == a
+        a, b = b, a + b
+    assert fib(100_003) == sympy.fibonacci(100_003)
+    assert lucas(100_003) == sympy.lucas(100_003)
+
+
 def test_fib_rejects_negative():
     with pytest.raises(ValueError):
         fib(-1)

@@ -63,6 +63,11 @@ def test_entry_matches_row():
             assert wythoff_entry(i, j) == row[j]
 
 
+def test_entry_matches_row_far_out():
+    for i in (0, 1, 7, 6765):
+        assert wythoff_entry(i, 3000) == wythoff_row(i, 3001)[-1]
+
+
 def test_fibonacci_rule():
     for i in range(0, 51):
         row = wythoff_row(i, 31)

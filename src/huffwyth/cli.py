@@ -6,9 +6,7 @@ verification (verify, selftest) finds a mismatch.
 """
 
 import argparse
-import csv
 import difflib
-import io
 import sys
 from importlib import resources
 
@@ -46,27 +44,27 @@ def format_trace_table(trace, marker: str = MARKER) -> str:
     The merged value of each step carries a marker suffix at the position
     where the tie policy inserted it.
     """
-    lines = ["step | sequence"]
-    for i, seq in enumerate(trace.sequences()):
-        cells = [str(w) for w in seq]
-        if i > 0 and len(seq) > 1:
-            cells[trace.positions[i - 1] - 1] += marker
-        lines.append(f"{i:>4} | {' '.join(cells)}")
-    return "\n".join(lines) + "\n"
+    rows = trace.text_rows()
+    parts = ["step | sequence\n   0 | ", " ".join(next(rows)), "\n"]
+    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
+        if len(row) > 1:
+            row = list(row)
+            row[pos - 1] += marker
+        parts += (f"{i:>4} | ", " ".join(row), "\n")
+    return "".join(parts)
 
 
 def format_trace_csv(trace) -> str:
-    """Render a trace as CSV rows: step, merged, pos, weights."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "merged", "pos", "weights"])
-    for i, seq in enumerate(trace.sequences()):
-        if i == 0:
-            merged, pos = "", ""
-        else:
-            merged, pos = trace.merged[i - 1], trace.positions[i - 1]
-        writer.writerow([i, merged, pos, " ".join(str(w) for w in seq)])
-    return buf.getvalue()
+    """Render a trace as CSV rows: step, merged, pos, weights.
+
+    No field needs quoting: each is an int, empty, or digits joined by
+    spaces.
+    """
+    rows = trace.text_rows()
+    parts = ["step,merged,pos,weights\n0,,,", " ".join(next(rows)), "\n"]
+    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
+        parts += (f"{i},{row[pos - 1]},{pos},", " ".join(row), "\n")
+    return "".join(parts)
 
 
 def format_tree(tree) -> str:
@@ -240,7 +238,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # Since 3.11 (and 3.10.7) Python refuses to convert ints of more than
     # 4300 digits to or from text by default; exact values such as
-    # fib --n 30000 exceed that.  The limit is restored for in-process callers.
+    # fib --n 30000 exceed that.  The trace and report renderers convert
+    # through numbers._to_decimal and need no lift, but the commands' own
+    # prints, parse_weights and the tree and codebook renderers use str()
+    # and int().  The limit is restored for in-process callers.
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:
         return _main(argv)

@@ -17,6 +17,13 @@ comparisons in all.  The rows P(i) themselves take O(n^2) space, so a trace
 stores only merged values, positions and tie flags, and rebuilds the rows
 when a caller first asks for them.
 
+Rendering.  The table, CSV and JSON renderers never build the int rows.
+They convert each initial and merged value to decimal text once, 2n-1
+conversions in all, and replay the rows over those strings with the same
+replay that rebuilds the int rows.  The conversions go through
+numbers._to_decimal, so values of any length render on every supported
+interpreter without lifting its int/str digit limit.
+
 Ties.  When the merged sum equals an existing entry the insertion point is
 ambiguous and a TiePolicy resolves it:
 
@@ -54,6 +61,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Union
+
+from .numbers import _from_decimal, _to_decimal
 
 __all__ = [
     "EmptySequenceError",
@@ -203,13 +212,31 @@ class HuffmanTrace:
     def total(self) -> int:
         return self.merged[-1] if self.merged else self.initial[0]
 
+    def _replay(self, initial, merged):
+        """Yield the rows P(0), ..., P(n-1) built from initial and merged.
+
+        These stand for self.initial and self.merged: the ints themselves or
+        their decimal text.
+        """
+        row = initial
+        yield row
+        for value, pos in zip(merged, self.positions):
+            row = row[2:pos + 1] + (value,) + row[pos + 1:]
+            yield row
+
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = [self.initial]
-        for value, pos in zip(self.merged, self.positions):
-            prev = rows[-1]
-            rows.append(prev[2:pos + 1] + (value,) + prev[pos + 1:])
-        return tuple(rows)
+        return tuple(self._replay(self.initial, self.merged))
+
+    def text_rows(self):
+        """Yield the rows P(0), ..., P(n-1) as tuples of decimal strings.
+
+        Each value is converted once, and the rows are neither cached nor
+        built as ints.  The merged value of step i is text row i at index
+        positions[i-1] - 1.
+        """
+        return self._replay(tuple(map(_to_decimal, self.initial)),
+                            tuple(map(_to_decimal, self.merged)))
 
     @cached_property
     def steps(self) -> tuple[StepRecord, ...]:
@@ -432,18 +459,14 @@ def check_elongated_inequality(trace: HuffmanTrace) -> bool:
 
 def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
     """Serialize a trace to JSON with weights as decimal strings."""
+    rows = list(trace.text_rows())
     doc = {
-        "initial": [str(w) for w in trace.initial],
+        "initial": rows[0],
         "steps": [
-            {
-                "i": step.step_index,
-                "input": [str(w) for w in step.input_seq],
-                "merged": str(step.merged_value),
-                "pos": step.insert_pos,
-            }
-            for step in trace.steps
+            {"i": i, "input": prev, "merged": row[pos - 1], "pos": pos}
+            for i, (prev, row, pos) in enumerate(zip(rows, rows[1:], trace.positions), 1)
         ],
-        "total": str(trace.total),
+        "total": rows[-1][0],
     }
     return json.dumps(doc, indent=indent)
 
@@ -457,17 +480,17 @@ def trace_from_json(text: str) -> HuffmanTrace:
     """
     try:
         doc = json.loads(text)
-        initial = tuple(int(w) for w in doc["initial"])
+        initial = tuple(map(_from_decimal, doc["initial"]))
         steps = tuple(
             StepRecord(
                 step_index=int(entry["i"]),
-                input_seq=tuple(int(w) for w in entry["input"]),
-                merged_value=int(entry["merged"]),
+                input_seq=tuple(map(_from_decimal, entry["input"])),
+                merged_value=_from_decimal(entry["merged"]),
                 insert_pos=int(entry["pos"]),
             )
             for entry in doc["steps"]
         )
-        total = int(doc["total"])
+        total = _from_decimal(doc["total"])
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed trace document: {exc}") from exc
     for policy in TiePolicy:

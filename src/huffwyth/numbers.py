@@ -13,6 +13,13 @@ Indexing conventions:
 
     F(0) = 0, F(1) = 1, F(i) = F(i-1) + F(i-2)
     L(1) = 1, L(2) = 3, L(i) = L(i-1) + L(i-2)
+
+Decimal text.  Python 3.11 (and 3.10.7 on) refuses int/str conversions of
+more digits than sys.get_int_max_str_digits(): 4300 by default, and never
+set below 640 except to 0 (no limit).  The private pair _to_decimal and
+_from_decimal converts pieces of at most 512 digits, split off by divide
+and conquer on powers of 10, so the package's text I/O stays exact under
+any setting without touching the process-wide limit.
 """
 
 import math
@@ -70,3 +77,39 @@ def lower_wythoff(n: int) -> int:
         raise ValueError(f"index must be nonnegative, got {n}")
     m = n + 1
     return (m + math.isqrt(5 * m * m)) // 2
+
+
+_PIECE_DIGITS = 512
+_PIECE_BITS = 1700      # 2**1700 < 10**512
+
+
+def _to_decimal(x: int) -> str:
+    """Return str(x) for an int of any size, whatever the int/str digit limit."""
+    if x.bit_length() <= _PIECE_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + _to_decimal(-x)
+    k = x.bit_length() * 3 // 20    # about half the digits, so 0 < x // 10**k
+    hi, lo = divmod(x, 10 ** k)
+    return _to_decimal(hi) + _to_decimal(lo).zfill(k)
+
+
+def _from_decimal(text) -> int:
+    """Return int(text) for decimal text of any length, whatever the digit limit.
+
+    Text of more than 512 characters must be ASCII digits with an optional
+    sign and surrounding whitespace; shorter text and non-str values go to
+    int() unchanged.
+    """
+    if not isinstance(text, str) or len(text) <= _PIECE_DIGITS:
+        return int(text)
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid decimal literal of {len(text)} characters: {text[:20]!r}...")
+    if len(body) <= _PIECE_DIGITS:
+        return sign * int(body)
+    k = len(body) // 2
+    return sign * (_from_decimal(body[:-k]) * 10 ** k + _from_decimal(body[-k:]))

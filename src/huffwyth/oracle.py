@@ -30,6 +30,7 @@ import json
 import math
 
 from .huffman import OrderClass, _merge, run_huffman, validate_weights
+from .numbers import _to_decimal
 from .theorems import min_abs_cost, min_abs_sequence, min_k_cost, min_k_sequence
 
 __all__ = [
@@ -223,13 +224,13 @@ def report_to_json(report: OracleReport, indent: int | None = None) -> str:
     doc = {
         "n": report.n,
         "k": report.k,
-        "weight_bound": str(report.weight_bound),
+        "weight_bound": _to_decimal(report.weight_bound),
         "candidates_examined": report.candidates_examined,
         "members_examined": report.members_examined,
-        "best_cost": str(report.best_cost),
-        "best_sequences": [[str(w) for w in seq] for seq in report.best_sequences],
-        "closed_form_cost": str(report.closed_form_cost),
-        "closed_form_sequence": [str(w) for w in report.closed_form_sequence],
+        "best_cost": _to_decimal(report.best_cost),
+        "best_sequences": [list(map(_to_decimal, seq)) for seq in report.best_sequences],
+        "closed_form_cost": _to_decimal(report.closed_form_cost),
+        "closed_form_sequence": list(map(_to_decimal, report.closed_form_sequence)),
         "matches_closed_form": report.matches_closed_form,
     }
     return json.dumps(doc, indent=indent)

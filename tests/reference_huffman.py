@@ -6,8 +6,15 @@ remainder by bisection, and copies the whole row.  The trace engine and the
 tree builder in huffwyth.huffman must agree with it exactly: same rows, same
 merged values, same insert positions and the same tree, child order
 included.
+
+The reference renderers are the direct readings of the three trace formats:
+they walk the int rows and StepRecords and convert every cell with str().
+The renderers in huffwyth must produce the same bytes.
 """
 
+import csv
+import io
+import json
 from bisect import bisect_left, bisect_right
 
 from huffwyth.huffman import Internal, Leaf, TiePolicy
@@ -57,3 +64,46 @@ def reference_tree(seq, tie_policy):
         rest.insert(idx, node)
         queue = rest
     return queue[0]
+
+
+def reference_table(trace, marker="*"):
+    """The step table, one row per intermediate sequence, merged value marked."""
+    lines = ["step | sequence"]
+    for i, seq in enumerate(trace.sequences()):
+        cells = [str(w) for w in seq]
+        if i > 0 and len(seq) > 1:
+            cells[trace.positions[i - 1] - 1] += marker
+        lines.append(f"{i:>4} | {' '.join(cells)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(trace):
+    """CSV rows step, merged, pos, weights, written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["step", "merged", "pos", "weights"])
+    for i, seq in enumerate(trace.sequences()):
+        if i == 0:
+            merged, pos = "", ""
+        else:
+            merged, pos = trace.merged[i - 1], trace.positions[i - 1]
+        writer.writerow([i, merged, pos, " ".join(str(w) for w in seq)])
+    return buf.getvalue()
+
+
+def reference_json(trace, indent=None):
+    """The trace JSON document built from StepRecords, weights as decimal strings."""
+    doc = {
+        "initial": [str(w) for w in trace.initial],
+        "steps": [
+            {
+                "i": step.step_index,
+                "input": [str(w) for w in step.input_seq],
+                "merged": str(step.merged_value),
+                "pos": step.insert_pos,
+            }
+            for step in trace.steps
+        ],
+        "total": str(trace.total),
+    }
+    return json.dumps(doc, indent=indent)

@@ -15,7 +15,7 @@ The package ties together three strands:
 All arithmetic is exact; no floats appear anywhere.
 """
 
-from .numbers import fib, isqrt, lower_wythoff, lucas
+from .numbers import fib, lower_wythoff, lucas
 from .wythoff import check_fib_row_identity, wythoff_entry, wythoff_row
 from .huffman import (
     DEFAULT_TIE_POLICY,
@@ -27,16 +27,13 @@ from .huffman import (
     NotSortedError,
     OrderClass,
     OrderKind,
-    StepRecord,
     TiePolicy,
     TooShortError,
     build_tree,
-    check_elongated_inequality,
     classify_order,
     classify_trace,
     codebook,
     is_elongated,
-    is_left_sided,
     leaf_depths,
     leaf_weights,
     run_huffman,
@@ -65,7 +62,6 @@ from .oracle import (
     count_sequences,
     elongated_cost,
     enumerate_sequences,
-    huffman_cost,
     optimal_tree_cost,
     report_to_json,
 )
@@ -73,21 +69,21 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "fib", "lucas", "isqrt", "lower_wythoff",
+    "fib", "lucas", "lower_wythoff",
     "wythoff_entry", "wythoff_row", "check_fib_row_identity",
-    "TiePolicy", "DEFAULT_TIE_POLICY", "StepRecord", "HuffmanTrace",
+    "TiePolicy", "DEFAULT_TIE_POLICY", "HuffmanTrace",
     "Leaf", "Internal", "Node", "OrderKind", "OrderClass",
     "EmptySequenceError", "NotSortedError", "TooShortError",
     "validate_weights", "run_huffman", "build_tree",
     "leaf_weights", "leaf_depths", "wepl", "codebook",
-    "is_elongated", "is_left_sided", "classify_order", "classify_trace",
-    "check_elongated_inequality", "trace_to_json", "trace_from_json",
+    "is_elongated", "classify_order", "classify_trace",
+    "trace_to_json", "trace_from_json",
     "SizeTooSmallError", "KOutOfRangeError",
     "min_abs_sequence", "min_abs_cost", "min_k_sequence",
     "min_k_sequence_fib_form", "min_k_cost", "corollary_sequences",
     "SearchSpaceTooLargeError", "EmptyClassError", "TooLargeError",
     "OracleReport", "enumerate_sequences", "count_sequences",
-    "elongated_cost", "huffman_cost", "optimal_tree_cost",
+    "elongated_cost", "optimal_tree_cost",
     "brute_force_min", "brute_force_min_abs", "report_to_json",
     "__version__",
 ]

@@ -102,12 +102,8 @@ def run_selftest(out) -> int:
     """
     failures = 0
     for ex in golden.GOLDEN_EXAMPLES:
-        if ex.k is None:
-            expected_weights = theorems.min_abs_sequence(ex.n)
-        else:
-            expected_weights = theorems.min_k_sequence(ex.n, ex.k)
         problems = []
-        if expected_weights != ex.weights:
+        if theorems.min_k_sequence(ex.n, ex.k) != ex.weights:
             problems.append("construction does not reproduce the stored weights")
         trace = huffman.run_huffman(ex.weights)
         if tuple(trace.sequences()) != ex.rows:
@@ -133,6 +129,13 @@ def run_selftest(out) -> int:
     return 0 if failures == 0 else 2
 
 
+def _add_class(p) -> None:
+    """Add the required --k/--abs choice; --abs leaves args.k None."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--k", type=int)
+    group.add_argument("--abs", action="store_true")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="huffwyth")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -154,15 +157,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("minseq", help="print a minimizing sequence and its cost")
     p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int)
-    group.add_argument("--abs", action="store_true")
+    _add_class(p)
 
     p = sub.add_parser("cost", help="print only the closed-form cost")
     p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int)
-    group.add_argument("--abs", action="store_true")
+    _add_class(p)
 
     p = sub.add_parser("huffman", help="run the merge process on given weights")
     p.add_argument("--weights", required=True, help="comma separated positive integers")
@@ -182,9 +181,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="brute-force check a closed-form minimum")
     p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int)
-    group.add_argument("--abs", action="store_true")
+    _add_class(p)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--limit", type=int, default=oracle.DEFAULT_CANDIDATE_LIMIT)
 
@@ -225,10 +222,7 @@ def _cmd_huffman(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.abs:
-        report = oracle.brute_force_min_abs(args.n, args.max_weight, args.limit)
-    else:
-        report = oracle.brute_force_min(args.n, args.k, args.max_weight, args.limit)
+    report = oracle.brute_force_min(args.n, args.k, args.max_weight, args.limit)
     out(oracle.report_to_json(report, indent=2))
     return 0 if report.matches_closed_form else 2
 
@@ -276,17 +270,11 @@ def _main(argv) -> int:
             row = wythoff.wythoff_row(args.row, start + args.cols)
             out(" ".join(str(v) for v in row[start:]))
         elif args.command == "minseq":
-            if args.abs:
-                seq, cost = theorems.min_abs_sequence(args.n), theorems.min_abs_cost(args.n)
-            else:
-                seq, cost = theorems.min_k_sequence(args.n, args.k), theorems.min_k_cost(args.n, args.k)
+            seq, cost = theorems.min_k_sequence(args.n, args.k), theorems.min_k_cost(args.n, args.k)
             out(",".join(str(w) for w in seq))
             out(f"cost {cost}")
         elif args.command == "cost":
-            if args.abs:
-                out(theorems.min_abs_cost(args.n))
-            else:
-                out(theorems.min_k_cost(args.n, args.k))
+            out(theorems.min_k_cost(args.n, args.k))
         elif args.command == "huffman":
             return _cmd_huffman(args, out)
         elif args.command == "classify":

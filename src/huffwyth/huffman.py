@@ -70,7 +70,6 @@ __all__ = [
     "TooShortError",
     "TiePolicy",
     "DEFAULT_TIE_POLICY",
-    "StepRecord",
     "HuffmanTrace",
     "Leaf",
     "Internal",
@@ -85,10 +84,8 @@ __all__ = [
     "wepl",
     "codebook",
     "is_elongated",
-    "is_left_sided",
     "classify_order",
     "classify_trace",
-    "check_elongated_inequality",
     "trace_to_json",
     "trace_from_json",
 ]
@@ -130,20 +127,6 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
         if a > b:
             raise NotSortedError(f"weights must be non-decreasing, got {a} before {b}")
     return seq
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One merge step: step i (1-based) consumes input_seq = P(i-1).
-
-    insert_pos is the 1-based position of the merged value within the step
-    output P(i).
-    """
-
-    step_index: int
-    input_seq: tuple[int, ...]
-    merged_value: int
-    insert_pos: int
 
 
 def _merge(seq, before):
@@ -195,8 +178,7 @@ class HuffmanTrace:
 
     merged[i-1] and positions[i-1] are the merged value of step i and its
     1-based position in P(i); ties[i] is p2(i) == p3(i) for i = 0..n-3.
-    The rows P(i) and the StepRecords are rebuilt from these on first
-    request and cached.
+    The rows P(i) are rebuilt from these on first request and cached.
     """
 
     initial: tuple[int, ...]
@@ -237,14 +219,6 @@ class HuffmanTrace:
         """
         return self._replay(tuple(map(_to_decimal, self.initial)),
                             tuple(map(_to_decimal, self.merged)))
-
-    @cached_property
-    def steps(self) -> tuple[StepRecord, ...]:
-        """One StepRecord per step; the first access builds every row."""
-        return tuple(
-            StepRecord(i, row, value, pos)
-            for i, (row, value, pos) in enumerate(zip(self._rows, self.merged, self.positions), 1)
-        )
 
     def sequences(self) -> list[tuple[int, ...]]:
         """Return [P(0), P(1), ..., P(n-1)]; the last entry is (total,)."""
@@ -367,14 +341,6 @@ def is_elongated(tree: Node) -> bool:
     return True
 
 
-def is_left_sided(tree: Node) -> bool:
-    """True when the right node of every sibling pair is a leaf."""
-    for node in _internal_nodes(tree):
-        if not isinstance(node.right, Leaf):
-            return False
-    return True
-
-
 class OrderKind(Enum):
     ABSOLUTELY_ORDERED = "absolutely-ordered"
     K_ORDERED = "k-ordered"
@@ -445,56 +411,40 @@ def classify_order(weights: Iterable[int]) -> OrderClass:
     return classify_trace(run_huffman(weights))
 
 
-def check_elongated_inequality(trace: HuffmanTrace) -> bool:
-    """Check p1 + p2 <= p4 in every intermediate sequence with >= 4 entries.
-
-    Holding for all of P(0)..P(n-3) is sufficient for the input to admit an
-    elongated optimal tree.
-    """
-    for seq in trace.sequences():
-        if len(seq) >= 4 and seq[0] + seq[1] > seq[3]:
-            return False
-    return True
+def _document(rows, positions) -> dict:
+    """The JSON document of a trace, from its text rows P(0), ..., P(n-1)."""
+    return {
+        "initial": rows[0],
+        "steps": [
+            {"i": i, "input": prev, "merged": row[pos - 1], "pos": pos}
+            for i, (prev, row, pos) in enumerate(zip(rows, rows[1:], positions), 1)
+        ],
+        "total": rows[-1][0],
+    }
 
 
 def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
     """Serialize a trace to JSON with weights as decimal strings."""
-    rows = list(trace.text_rows())
-    doc = {
-        "initial": rows[0],
-        "steps": [
-            {"i": i, "input": prev, "merged": row[pos - 1], "pos": pos}
-            for i, (prev, row, pos) in enumerate(zip(rows, rows[1:], trace.positions), 1)
-        ],
-        "total": rows[-1][0],
-    }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(_document(list(trace.text_rows()), trace.positions), indent=indent)
 
 
 def trace_from_json(text: str) -> HuffmanTrace:
     """Parse a trace produced by trace_to_json back into a HuffmanTrace.
 
-    The document must be a run of its own initial weights under one of the
-    tie policies: every stored row, merged value, position and the total
-    must replay.  Anything else raises ValueError.
+    Only the initial weights are parsed.  They are replayed under each tie
+    policy, and the document must equal the one trace_to_json builds for
+    one of those runs.  A number where a decimal string belongs, a missing
+    or extra key, or a row that does not replay raises ValueError.  Values
+    compare as Python values, so 1.0 or true still pass for an int 1.
     """
     try:
         doc = json.loads(text)
         initial = tuple(map(_from_decimal, doc["initial"]))
-        steps = tuple(
-            StepRecord(
-                step_index=int(entry["i"]),
-                input_seq=tuple(map(_from_decimal, entry["input"])),
-                merged_value=_from_decimal(entry["merged"]),
-                insert_pos=int(entry["pos"]),
-            )
-            for entry in doc["steps"]
-        )
-        total = _from_decimal(doc["total"])
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed trace document: {exc}") from exc
     for policy in TiePolicy:
         trace = run_huffman(initial, policy)
-        if trace.steps == steps and trace.total == total:
+        # json.loads gives lists where text_rows() gives tuples
+        if _document(list(map(list, trace.text_rows())), trace.positions) == doc:
             return trace
     raise ValueError("trace document does not replay from its initial weights")

@@ -5,7 +5,7 @@ used anywhere.  A one-ulp error in float(phi) flips a floor for large
 arguments, so the lower Wythoff term floor(m * phi), phi = (1 + sqrt(5)) / 2,
 is computed from the exact identity
 
-    floor(m * phi) = (m + isqrt(5 * m * m)) // 2
+    floor(m * phi) = (m + math.isqrt(5 * m * m)) // 2
 
 which holds because 5 * m * m is never a perfect square for m >= 1.
 
@@ -24,7 +24,7 @@ any setting without touching the process-wide limit.
 
 import math
 
-__all__ = ["fib", "lucas", "isqrt", "lower_wythoff"]
+__all__ = ["fib", "lucas", "lower_wythoff"]
 
 
 def _fib_pair(i: int) -> tuple[int, int]:
@@ -57,13 +57,6 @@ def lucas(i: int) -> int:
         raise ValueError(f"Lucas index must be >= 1, got {i}")
     a, b = _fib_pair(i)
     return 2 * b - a
-
-
-def isqrt(x: int) -> int:
-    """Return the integer square root of x: the largest r with r*r <= x."""
-    if x < 0:
-        raise ValueError(f"isqrt argument must be nonnegative, got {x}")
-    return math.isqrt(x)
 
 
 def lower_wythoff(n: int) -> int:

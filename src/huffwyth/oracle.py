@@ -3,7 +3,8 @@
 The oracle enumerates every non-decreasing sequence of n weights drawn from
 1..max_weight, keeps the ones that belong to the requested order class and
 whose optimal tree is elongated, and reports the minimum cost found
-together with all sequences attaining it.
+together with all sequences attaining it.  As in theorems, k=None selects
+the absolutely ordered class.
 
 Membership is decided policy-independently.  For an elongated tree of size
 n the leaf depth multiset is forced (n-1, n-1, n-2, ..., 2, 1), so the best
@@ -29,9 +30,9 @@ from itertools import combinations_with_replacement
 import json
 import math
 
-from .huffman import OrderClass, _merge, run_huffman, validate_weights
+from .huffman import OrderClass, _merge, validate_weights
 from .numbers import _to_decimal
-from .theorems import min_abs_cost, min_abs_sequence, min_k_cost, min_k_sequence
+from .theorems import min_k_cost, min_k_sequence
 
 __all__ = [
     "SearchSpaceTooLargeError",
@@ -41,7 +42,6 @@ __all__ = [
     "enumerate_sequences",
     "count_sequences",
     "elongated_cost",
-    "huffman_cost",
     "optimal_tree_cost",
     "brute_force_min",
     "brute_force_min_abs",
@@ -91,11 +91,6 @@ def elongated_cost(weights) -> int:
     return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
 
 
-def huffman_cost(weights) -> int:
-    """Huffman cost recomputed from the trace: the sum of all merged values."""
-    return sum(run_huffman(weights).merged_values())
-
-
 @lru_cache(maxsize=None)
 def _depth_profiles(n: int) -> tuple[tuple[int, ...], ...]:
     """All leaf depth multisets of strictly binary trees with n leaves.
@@ -133,7 +128,7 @@ def optimal_tree_cost(weights) -> int:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of a brute-force scan over one order class."""
+    """Outcome of a brute-force scan over one order class; k is None for absolutely ordered."""
 
     n: int
     k: int | None
@@ -147,7 +142,10 @@ class OracleReport:
     matches_closed_form: bool
 
 
-def _scan_class(n, target, closed_seq, closed_cost, k, max_weight, limit):
+def _scan_class(n, k, max_weight, limit):
+    closed_seq = min_k_sequence(n, k)
+    closed_cost = min_k_cost(n, k)
+    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
     if max_weight is None:
         max_weight = max(closed_seq) + 2
     total = count_sequences(n, max_weight)
@@ -195,28 +193,17 @@ def _scan_class(n, target, closed_seq, closed_cost, k, max_weight, limit):
 def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     """Scan the k-ordered class of size n and compare against the closed form.
 
-    max_weight defaults to max(min_k_sequence(n, k)) + 2, which is enough to
-    expose any cheaper member if one existed.  Enumeration is sequential and
-    the report is deterministic.
+    k=None scans the absolutely ordered class.  max_weight defaults to
+    max(min_k_sequence(n, k)) + 2, which is enough to expose any cheaper
+    member if one existed.  Enumeration is sequential and the report is
+    deterministic.
     """
-    closed_seq = min_k_sequence(n, k)
-    return _scan_class(
-        n, OrderClass.k_ordered(k), closed_seq, min_k_cost(n, k), k, max_weight, limit
-    )
+    return _scan_class(n, k, max_weight, limit)
 
 
 def brute_force_min_abs(n, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Scan the absolutely ordered class of size n, as brute_force_min does."""
-    closed_seq = min_abs_sequence(n)
-    return _scan_class(
-        n,
-        OrderClass.absolutely_ordered(),
-        closed_seq,
-        min_abs_cost(n),
-        None,
-        max_weight,
-        limit,
-    )
+    """Scan the absolutely ordered class of size n: brute_force_min(n, None)."""
+    return _scan_class(n, None, max_weight, limit)
 
 
 def report_to_json(report: OracleReport, indent: int | None = None) -> str:

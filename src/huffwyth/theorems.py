@@ -23,6 +23,11 @@ their weighted external path lengths have closed forms:
   The boundary cases have familiar shapes: the 0-ordered sequence is
   1, 1, L(1), ..., L(n-2) (Lucas numbers) and the (n-3)-ordered sequence is
   1, F(1), ..., F(n-1), with costs F(n+3) + F(n+1) - (n+3) and F(n+3) - 3.
+
+The absolutely ordered class is the k-ordered definition with no tie step,
+and the k-ordered cost at k = -1 is the absolutely ordered one.  So
+min_k_sequence and min_k_cost take k=None for the absolutely ordered class;
+min_abs_sequence(n) and min_abs_cost(n) are those calls.
 """
 
 from .numbers import fib
@@ -53,9 +58,9 @@ def _check_n(n: int) -> None:
         raise SizeTooSmallError(f"need n >= 3, got {n}")
 
 
-def _check_k(n: int, k: int) -> None:
+def _check_k(n: int, k: int | None) -> None:
     _check_n(n)
-    if not 0 <= k <= n - 3:
+    if k is not None and not 0 <= k <= n - 3:
         raise KOutOfRangeError(f"need 0 <= k <= n-3 = {n - 3}, got {k}")
 
 
@@ -69,24 +74,25 @@ def _fibs(m: int) -> list[int]:
 
 
 def min_abs_sequence(n: int) -> tuple[int, ...]:
-    """The minimizing absolutely ordered sequence F(1), ..., F(n)."""
-    _check_n(n)
-    return tuple(_fibs(n)[1:])
+    """The minimizing absolutely ordered sequence: min_k_sequence(n, None)."""
+    return min_k_sequence(n, None)
 
 
 def min_abs_cost(n: int) -> int:
-    """Cost of the minimizing absolutely ordered sequence: F(n+4) - (n+4)."""
-    _check_n(n)
-    return fib(n + 4) - (n + 4)
+    """Cost of the minimizing absolutely ordered sequence: min_k_cost(n, None)."""
+    return min_k_cost(n, None)
 
 
-def min_k_sequence(n: int, k: int) -> tuple[int, ...]:
+def min_k_sequence(n: int, k: int | None) -> tuple[int, ...]:
     """The minimizing k-ordered sequence of length n, 0 <= k <= n-3.
 
     A prefix of Fibonacci numbers followed by the Wythoff row whose index
-    is F(k+2); see the module docstring for the exact indexing.
+    is F(k+2); see the module docstring for the exact indexing.  k=None
+    gives the absolutely ordered minimizer F(1), ..., F(n).
     """
     _check_k(n, k)
+    if k is None:
+        return tuple(_fibs(n)[1:])
     f = _fibs(k + 2)
     # p2 .. p(k+2) = F(1) .. F(k+1), then row F(k+2) of the Wythoff array
     return (1, *f[1:k + 2], *wythoff_row(f[k + 2], n - k - 2))
@@ -100,9 +106,14 @@ def min_k_sequence_fib_form(n: int, k: int) -> tuple[int, ...]:
     return (1, *f[1:k + 3], *(f[i - 1] + f[i - k - 3] for i in range(k + 4, n + 1)))
 
 
-def min_k_cost(n: int, k: int) -> int:
-    """Cost of the minimizing k-ordered sequence: F(n+3) + F(n-k+1) - (n-k+3)."""
+def min_k_cost(n: int, k: int | None) -> int:
+    """Cost of the minimizing k-ordered sequence: F(n+3) + F(n-k+1) - (n-k+3).
+
+    k=None gives the absolutely ordered cost F(n+4) - (n+4).
+    """
     _check_k(n, k)
+    if k is None:
+        return fib(n + 4) - (n + 4)
     return fib(n + 3) + fib(n - k + 1) - (n - k + 3)
 
 

@@ -8,8 +8,11 @@ merged values, same insert positions and the same tree, child order
 included.
 
 The reference renderers are the direct readings of the three trace formats:
-they walk the int rows and StepRecords and convert every cell with str().
-The renderers in huffwyth must produce the same bytes.
+they walk the int rows and convert every cell with str().  The renderers in
+huffwyth must produce the same bytes.
+
+is_left_sided and check_elongated_inequality are shape and trace
+cross-checks from the paper that only the tests use.
 """
 
 import csv
@@ -92,18 +95,40 @@ def reference_csv(trace):
 
 
 def reference_json(trace, indent=None):
-    """The trace JSON document built from StepRecords, weights as decimal strings."""
+    """The trace JSON document built from the int rows, weights as decimal strings."""
+    rows = trace.sequences()
     doc = {
         "initial": [str(w) for w in trace.initial],
         "steps": [
             {
-                "i": step.step_index,
-                "input": [str(w) for w in step.input_seq],
-                "merged": str(step.merged_value),
-                "pos": step.insert_pos,
+                "i": i,
+                "input": [str(w) for w in row],
+                "merged": str(value),
+                "pos": pos,
             }
-            for step in trace.steps
+            for i, (row, value, pos) in enumerate(zip(rows, trace.merged, trace.positions), 1)
         ],
         "total": str(trace.total),
     }
     return json.dumps(doc, indent=indent)
+
+
+def is_left_sided(tree):
+    """True when the right node of every sibling pair is a leaf."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            if not isinstance(node.right, Leaf):
+                return False
+            stack.append(node.left)
+    return True
+
+
+def check_elongated_inequality(trace):
+    """Check p1 + p2 <= p4 in every intermediate sequence with >= 4 entries.
+
+    Holding for all of P(0)..P(n-3) is sufficient for the input to admit an
+    elongated optimal tree.
+    """
+    return all(len(seq) < 4 or seq[0] + seq[1] <= seq[3] for seq in trace.sequences())

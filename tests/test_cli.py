@@ -74,8 +74,12 @@ def test_minseq_abs(capsys):
 
 
 def test_minseq_requires_class_choice(capsys):
-    rc, _, err = run(capsys, "minseq", "--n", "10")
-    assert rc == 1 and err
+    # exactly one of --k and --abs, for each command that takes a class
+    for command in ("minseq", "cost", "verify"):
+        rc, _, err = run(capsys, command, "--n", "5")
+        assert rc == 1 and "--k --abs is required" in err
+        rc, _, err = run(capsys, command, "--n", "5", "--k", "0", "--abs")
+        assert rc == 1 and "not allowed" in err
 
 
 def test_minseq_k_out_of_range(capsys):
@@ -128,7 +132,7 @@ def test_huffman_trace_json_round_trip(capsys):
     assert rc == 0
     trace = trace_from_json(out)
     assert trace == run_huffman((1, 1, 2, 3))
-    assert trace.steps[-1].merged_value == trace.total == 7
+    assert trace.merged[-1] == trace.total == 7
 
 
 def test_huffman_trace_csv(capsys):

@@ -17,12 +17,10 @@ from huffwyth.huffman import (
     TiePolicy,
     TooShortError,
     build_tree,
-    check_elongated_inequality,
     classify_order,
     classify_trace,
     codebook,
     is_elongated,
-    is_left_sided,
     leaf_depths,
     leaf_weights,
     run_huffman,
@@ -32,7 +30,12 @@ from huffwyth.huffman import (
     wepl,
 )
 from huffwyth.theorems import min_abs_sequence
-from reference_huffman import reference_trace, reference_tree
+from reference_huffman import (
+    check_elongated_inequality,
+    is_left_sided,
+    reference_trace,
+    reference_tree,
+)
 
 FIB10 = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
@@ -58,17 +61,16 @@ def weight_depth_pairs(tree):
 def test_trace_single_weight():
     trace = run_huffman((5,))
     assert trace.total == 5
-    assert trace.steps == ()
+    assert trace.merged == trace.positions == ()
     assert trace.sequences() == [(5,)]
 
 
 def test_trace_pair():
     trace = run_huffman((1, 2))
     assert trace.total == 3
-    assert len(trace.steps) == 1
-    assert trace.steps[0].input_seq == (1, 2)
-    assert trace.steps[0].merged_value == 3
-    assert trace.steps[0].insert_pos == 1
+    assert trace.sequences() == [(1, 2), (3,)]
+    assert trace.merged == (3,)
+    assert trace.positions == (1,)
 
 
 def test_trace_fibonacci_example():
@@ -87,15 +89,16 @@ def test_trace_intermediate_row():
 
 def test_step_indices_and_first_input():
     trace = run_huffman((2, 3, 3, 4))
-    assert [s.step_index for s in trace.steps] == [1, 2, 3]
-    assert trace.steps[0].input_seq == trace.initial
+    assert len(trace.merged) == len(trace.positions) == 3
+    assert trace.sequences()[0] == trace.initial
 
 
 def test_each_step_consumes_two_smallest():
     trace = run_huffman((1, 2, 2, 5, 9))
-    for step, nxt in zip(trace.steps, trace.steps[1:]):
-        assert step.merged_value == step.input_seq[0] + step.input_seq[1]
-        assert nxt.input_seq[step.insert_pos - 1] == step.merged_value
+    rows = trace.sequences()
+    for row, nxt, value, pos in zip(rows, rows[1:], trace.merged, trace.positions):
+        assert value == row[0] + row[1]
+        assert nxt[pos - 1] == value
 
 
 def test_tie_policy_changes_position_not_values():
@@ -103,16 +106,14 @@ def test_tie_policy_changes_position_not_values():
     before = run_huffman(weights, TiePolicy.MERGED_BEFORE_EQUALS)
     after = run_huffman(weights, TiePolicy.MERGED_AFTER_EQUALS)
     assert before.sequences() == after.sequences()
-    assert before.steps[0].insert_pos == 1
-    assert after.steps[0].insert_pos == 3
+    assert before.positions[0] == 1
+    assert after.positions[0] == 3
 
 
 def test_default_policy_is_before_equals():
     assert DEFAULT_TIE_POLICY is TiePolicy.MERGED_BEFORE_EQUALS
     weights = (1, 1, 2, 2)
-    assert run_huffman(weights).steps == run_huffman(
-        weights, TiePolicy.MERGED_BEFORE_EQUALS
-    ).steps
+    assert run_huffman(weights) == run_huffman(weights, TiePolicy.MERGED_BEFORE_EQUALS)
 
 
 def test_validation_errors():
@@ -150,7 +151,6 @@ def assert_matches_reference(weights, policy):
     assert list(trace.positions) == positions
     assert trace.ties == tuple(row[1] == row[2] for row in rows if len(row) >= 3)
     assert trace.sequences() == rows
-    assert [step.input_seq for step in trace.steps] == rows[:-1]
     assert build_tree(weights, policy) == reference_tree(weights, policy)
 
 
@@ -419,8 +419,8 @@ def test_trace_json_round_trip(weights):
     assert again == trace
     # rerunning the merges on the parsed document reproduces it exactly
     assert run_huffman(again.initial) == again
-    if again.steps:
-        assert again.steps[-1].merged_value == again.total
+    if again.merged:
+        assert again.merged[-1] == again.total
 
 
 def test_trace_json_malformed():
@@ -450,7 +450,17 @@ def _drop_step(doc):
     del doc["steps"][4]
 
 
-@pytest.mark.parametrize("edit", [_edit_row, _edit_merged, _edit_pos, _edit_total, _drop_step])
+# only what trace_to_json writes parses, even where the weights replay
+def _int_for_string(doc):
+    doc["steps"][2]["merged"] = int(doc["steps"][2]["merged"])
+
+
+def _extra_key(doc):
+    doc["steps"][1]["note"] = "x"
+
+
+@pytest.mark.parametrize("edit", [_edit_row, _edit_merged, _edit_pos, _edit_total, _drop_step,
+                                  _int_for_string, _extra_key])
 def test_trace_json_rejects_rows_that_do_not_replay(edit):
     doc = json.loads(trace_to_json(run_huffman(FIB10)))
     edit(doc)

@@ -4,19 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from huffwyth.numbers import fib, isqrt, lower_wythoff, lucas
-
-
-def newton_isqrt(x):
-    """Independent integer square root via Newton iteration."""
-    if x < 2:
-        return x
-    r = 1 << ((x.bit_length() + 1) // 2)
-    while True:
-        nxt = (r + x // r) // 2
-        if nxt >= r:
-            return r
-        r = nxt
+from huffwyth.numbers import fib, lower_wythoff, lucas
 
 
 def test_fib_small_values():
@@ -82,40 +70,6 @@ def test_lucas_equals_fib_sum():
     # L(i) = F(i-1) + F(i+1) pins both indexings to each other
     for i in range(1, 60):
         assert lucas(i) == fib(i - 1) + fib(i + 1)
-
-
-def test_isqrt_small():
-    assert isqrt(0) == 0
-    assert isqrt(1) == 1
-    assert isqrt(45) == 6
-    assert isqrt(49) == 7
-
-
-def test_isqrt_big_value():
-    x = 5 * (10 ** 40) ** 2
-    r = isqrt(x)
-    # frozen after computing with the Newton oracle above
-    assert r == 22360679774997896964091736687312762354406
-    assert r == newton_isqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-def test_isqrt_full_small_range():
-    for x in range(0, 10_001):
-        r = isqrt(x)
-        assert r * r <= x < (r + 1) * (r + 1)
-
-
-@given(st.integers(min_value=0, max_value=10 ** 30))
-def test_isqrt_definition(x):
-    r = isqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
-    assert r == newton_isqrt(x)
 
 
 def test_lower_wythoff_small_values():

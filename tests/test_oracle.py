@@ -14,7 +14,6 @@ from huffwyth.oracle import (
     count_sequences,
     elongated_cost,
     enumerate_sequences,
-    huffman_cost,
     optimal_tree_cost,
     report_to_json,
 )
@@ -66,15 +65,13 @@ def test_elongated_cost_formula():
 
 def test_huffman_cost_is_merge_sum():
     weights = (1, 1, 2, 3, 5)
-    trace = run_huffman(weights)
-    assert huffman_cost(weights) == sum(trace.merged_values())
-    assert huffman_cost(weights) == wepl(build_tree(weights))
+    assert sum(run_huffman(weights).merged) == 25 == wepl(build_tree(weights))
 
 
 @given(small_seqs)
 def test_elongated_cost_bounds_huffman_cost(weights):
     # the forced elongated shape can never beat the optimal tree
-    assert elongated_cost(weights) >= huffman_cost(weights)
+    assert elongated_cost(weights) >= sum(run_huffman(weights).merged)
 
 
 # ------------------------------------------------------------ optimal_tree_cost
@@ -129,6 +126,7 @@ def test_brute_force_abs_n5():
     assert report.best_sequences == ((1, 1, 2, 3, 5),)
     assert report.matches_closed_form
     assert report.k is None
+    assert brute_force_min(5, None) == report
 
 
 def test_brute_force_abs_small_sizes():

@@ -45,7 +45,6 @@ def test_rendering_builds_no_int_rows(monkeypatch):
         raise AssertionError("int rows were built")
 
     monkeypatch.setattr(HuffmanTrace, "_rows", property(no_rows))
-    monkeypatch.setattr(HuffmanTrace, "steps", property(no_rows))
     trace = run_huffman(min_k_sequence(400, 7))
     assert format_trace_table(trace).count("\n") == 401
     assert format_trace_csv(trace).count("\n") == 401

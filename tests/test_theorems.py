@@ -4,10 +4,8 @@ from hypothesis import given, strategies as st
 from huffwyth.huffman import (
     OrderClass,
     build_tree,
-    check_elongated_inequality,
     classify_order,
     is_elongated,
-    is_left_sided,
     run_huffman,
     wepl,
 )
@@ -22,6 +20,7 @@ from huffwyth.theorems import (
     min_k_sequence,
     min_k_sequence_fib_form,
 )
+from reference_huffman import check_elongated_inequality, is_left_sided
 
 
 def direct_elongated_cost(weights):
@@ -92,6 +91,9 @@ def test_min_k_cost_values():
 
 def test_costs_match_direct_depth_sums():
     for n in range(3, 31):
+        # k = None is the absolutely ordered class
+        assert min_k_sequence(n, None) == min_abs_sequence(n)
+        assert min_k_cost(n, None) == min_abs_cost(n)
         assert min_abs_cost(n) == direct_elongated_cost(min_abs_sequence(n))
         for k in range(0, n - 2):
             assert min_k_cost(n, k) == direct_elongated_cost(min_k_sequence(n, k)), (n, k)
@@ -182,6 +184,8 @@ def test_size_validation():
             min_abs_sequence(bad)
         with pytest.raises(SizeTooSmallError):
             min_abs_cost(bad)
+        with pytest.raises(SizeTooSmallError):
+            min_k_cost(bad, None)
         with pytest.raises(SizeTooSmallError):
             corollary_sequences(bad)
 

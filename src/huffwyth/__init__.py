@@ -21,9 +21,7 @@ from .huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
     HuffmanTrace,
-    Internal,
-    Leaf,
-    Node,
+    HuffmanTree,
     NotSortedError,
     OrderClass,
     OrderKind,
@@ -71,8 +69,8 @@ __version__ = "0.1.0"
 __all__ = [
     "fib", "lucas", "lower_wythoff",
     "wythoff_entry", "wythoff_row", "check_fib_row_identity",
-    "TiePolicy", "DEFAULT_TIE_POLICY", "HuffmanTrace",
-    "Leaf", "Internal", "Node", "OrderKind", "OrderClass",
+    "TiePolicy", "DEFAULT_TIE_POLICY", "HuffmanTrace", "HuffmanTree",
+    "OrderKind", "OrderClass",
     "EmptySequenceError", "NotSortedError", "TooShortError",
     "validate_weights", "run_huffman", "build_tree",
     "leaf_weights", "leaf_depths", "wepl", "codebook",

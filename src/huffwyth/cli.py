@@ -69,15 +69,9 @@ def format_trace_csv(trace) -> str:
 
 def format_tree(tree) -> str:
     """Render a tree as indented lines: '+' internal nodes, '-' leaves."""
-    lines = []
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        tag = "-" if isinstance(node, huffman.Leaf) else "+"
-        lines.append(f"{'  ' * depth}{tag} {node.weight}")
-        if isinstance(node, huffman.Internal):
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
+    n = tree.size
+    lines = [f"{'  ' * depth}{'-' if v < n else '+'} {tree.weights[v]}"
+             for v, depth in tree.preorder()]
     return "\n".join(lines) + "\n"
 
 

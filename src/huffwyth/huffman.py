@@ -41,9 +41,15 @@ admits, so inputs whose optimal tree can be elongated (every sibling pair
 contains a leaf) actually come out elongated.  That makes
 MERGED_BEFORE_EQUALS the default.
 
-Trees.  When a merge pairs a leaf with a subtree, the leaf becomes the right
-child; a chain of such merges therefore grows a left-sided tree, one where
-the right node of every sibling pair is a leaf.
+Trees.  A HuffmanTree is three flat tuples over 2n-1 node indices, read
+straight off the engine's picks: leaf i < n is input weight i, and internal
+node n+q, made by step q+1, has the child indices left[q] and right[q].  A
+child's index is always below its parent's, so one reverse pass gives every
+depth, and the left-to-right walks keep an explicit stack.  The tree takes
+O(n) space, and no tree operation recurses, at any height.  When a merge
+pairs a leaf with a subtree, the leaf becomes the right child; a chain of
+such merges therefore grows a left-sided tree, one where the right node of
+every sibling pair is a leaf.
 
 Order classes.  With p2(i), p3(i) the second and third entries of P(i):
 
@@ -60,7 +66,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from operator import mul
+from typing import Iterable
 
 from .numbers import _from_decimal, _to_decimal
 
@@ -71,9 +78,7 @@ __all__ = [
     "TiePolicy",
     "DEFAULT_TIE_POLICY",
     "HuffmanTrace",
-    "Leaf",
-    "Internal",
-    "Node",
+    "HuffmanTree",
     "OrderKind",
     "OrderClass",
     "validate_weights",
@@ -241,104 +246,118 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
 
 
 @dataclass(frozen=True)
-class Leaf:
-    weight: int
+class HuffmanTree:
+    """A binary tree on n leaves held in three flat tuples.
+
+    Node i < n is leaf i; node n+q is internal, with children left[q] and
+    right[q].  weights[v] is the weight of node v.  Every child must have a
+    lower index than its parent, as in each tree build_tree returns, so the
+    root is the last node.  Equality, hashing, repr and the walks below work
+    on the tuples without recursion, at any height.
+    """
+
+    weights: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        """The number of leaves."""
+        return len(self.left) + 1
+
+    def preorder(self):
+        """Yield (node, depth) for every node: a parent, its left subtree, its right subtree."""
+        n, left, right = self.size, self.left, self.right
+        stack = [(len(self.weights) - 1, 0)]
+        while stack:
+            v, depth = stack.pop()
+            yield v, depth
+            if v >= n:
+                stack.append((right[v - n], depth + 1))
+                stack.append((left[v - n], depth + 1))
 
 
-@dataclass(frozen=True)
-class Internal:
-    left: "Node"
-    right: "Node"
-    weight: int
-
-
-Node = Union[Leaf, Internal]
-
-
-def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> Node:
+def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> HuffmanTree:
     """Build the Huffman tree from the merge engine's picks.
 
-    Each step's two nodes combine in queue order, except that a lone leaf
-    always becomes the right child; the internal weights are the trace's
-    merged values.
+    Internal node n+q joins the two nodes step q+1 consumes, in queue
+    order, except that a lone leaf always becomes the right child; its
+    weight is the trace's merged value.
     """
     seq = validate_weights(weights)
     n = len(seq)
     merged, _, _, picks = _merge(seq, tie_policy is TiePolicy.MERGED_BEFORE_EQUALS)
-    nodes: list[Node] = [Leaf(w) for w in seq]
-    it = iter(picks)
-    for value, a, b in zip(merged, it, it):
+    left, right = picks[0::2], picks[1::2]
+    for q, (a, b) in enumerate(zip(left, right)):
         if a < n <= b:
-            a, b = b, a
-        nodes.append(Internal(nodes[a], nodes[b], value))
-    return nodes[-1]
+            left[q], right[q] = b, a
+    return HuffmanTree(seq + tuple(merged), tuple(left), tuple(right))
 
 
-def _walk_leaves(tree: Node):
-    """Yield (leaf, depth) in left-to-right order."""
-    stack = [(tree, 0)]
+def _leaves(tree: HuffmanTree) -> list[int]:
+    """Leaf indices in left-to-right order."""
+    n, left, right = tree.size, tree.left, tree.right
+    out, stack = [], [len(tree.weights) - 1]
     while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            yield node, depth
-        else:
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
+        v = stack.pop()
+        while v >= n:
+            stack.append(right[v - n])
+            v = left[v - n]
+        out.append(v)
+    return out
 
 
-def leaf_weights(tree: Node) -> list[int]:
+def _depths(tree: HuffmanTree) -> list[int]:
+    """Node depths by index (root depth 0), in one pass from the root down."""
+    depth = [0] * len(tree.weights)
+    parents = range(len(tree.weights) - 1, tree.size - 1, -1)
+    for v, a, b in zip(parents, reversed(tree.left), reversed(tree.right)):
+        depth[a] = depth[b] = depth[v] + 1
+    return depth
+
+
+def leaf_weights(tree: HuffmanTree) -> list[int]:
     """Leaf weights in left-to-right order."""
-    return [leaf.weight for leaf, _ in _walk_leaves(tree)]
+    return [tree.weights[v] for v in _leaves(tree)]
 
 
-def leaf_depths(tree: Node) -> list[int]:
+def leaf_depths(tree: HuffmanTree) -> list[int]:
     """Leaf depths in left-to-right order (root depth 0)."""
-    return [depth for _, depth in _walk_leaves(tree)]
+    depth = _depths(tree)
+    return [depth[v] for v in _leaves(tree)]
 
 
-def wepl(tree: Node) -> int:
+def wepl(tree: HuffmanTree) -> int:
     """Weighted external path length: sum over leaves of depth * weight."""
-    return sum(leaf.weight * depth for leaf, depth in _walk_leaves(tree))
+    return sum(map(mul, _depths(tree)[:tree.size], tree.weights))
 
 
-def codebook(tree: Node) -> list[tuple[int, str]]:
+def codebook(tree: HuffmanTree) -> list[tuple[int, str]]:
     """Return (leaf index, codeword) pairs, leaves numbered left to right.
 
     Left edges emit '0', right edges '1'.  A single-leaf tree gets the
     empty codeword.
     """
-    out = []
-    stack = [(tree, "")]
+    n, left, right = tree.size, tree.left, tree.right
+    out, stack = [], [(len(tree.weights) - 1, "")]
     while stack:
-        node, code = stack.pop()
-        if isinstance(node, Leaf):
+        v, code = stack.pop()
+        if v < n:
             out.append((len(out), code))
         else:
-            stack.append((node.right, code + "1"))
-            stack.append((node.left, code + "0"))
+            stack.append((right[v - n], code + "1"))
+            stack.append((left[v - n], code + "0"))
     return out
 
 
-def _internal_nodes(tree: Node):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            yield node
-            stack.append(node.left)
-            stack.append(node.right)
-
-
-def is_elongated(tree: Node) -> bool:
+def is_elongated(tree: HuffmanTree) -> bool:
     """True when every sibling pair contains at least one leaf.
 
     Equivalently the tree has the maximum height possible for its leaf
     count: a single leaf chain of internal nodes.
     """
-    for node in _internal_nodes(tree):
-        if isinstance(node.left, Internal) and isinstance(node.right, Internal):
-            return False
-    return True
+    n = tree.size
+    return all(a < n or b < n for a, b in zip(tree.left, tree.right))
 
 
 class OrderKind(Enum):
@@ -428,17 +447,22 @@ def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
     return json.dumps(_document(list(trace.text_rows()), trace.positions), indent=indent)
 
 
+def _not_an_int(token):
+    raise ValueError(f"malformed trace document: {token} where an integer belongs")
+
+
 def trace_from_json(text: str) -> HuffmanTrace:
     """Parse a trace produced by trace_to_json back into a HuffmanTrace.
 
     Only the initial weights are parsed.  They are replayed under each tie
     policy, and the document must equal the one trace_to_json builds for
     one of those runs.  A number where a decimal string belongs, a missing
-    or extra key, or a row that does not replay raises ValueError.  Values
-    compare as Python values, so 1.0 or true still pass for an int 1.
+    or extra key, or a row that does not replay raises ValueError, and so
+    does a float, NaN, Infinity, true or false in place of a step's i or
+    pos.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_not_an_int, parse_constant=_not_an_int)
         initial = tuple(map(_from_decimal, doc["initial"]))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed trace document: {exc}") from exc
@@ -446,5 +470,8 @@ def trace_from_json(text: str) -> HuffmanTrace:
         trace = run_huffman(initial, policy)
         # json.loads gives lists where text_rows() gives tuples
         if _document(list(map(list, trace.text_rows())), trace.positions) == doc:
+            # True == 1, so only the type tells a bool from the int it equals
+            if any(type(step["i"]) is bool or type(step["pos"]) is bool for step in doc["steps"]):
+                raise ValueError("malformed trace document: true or false where an integer belongs")
             return trace
     raise ValueError("trace document does not replay from its initial weights")

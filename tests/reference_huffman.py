@@ -5,7 +5,8 @@ front entries of the current sorted sequence, re-inserts their sum into the
 remainder by bisection, and copies the whole row.  The trace engine and the
 tree builder in huffwyth.huffman must agree with it exactly: same rows, same
 merged values, same insert positions and the same tree, child order
-included.
+included.  The reference tree is built from nested nodes of its own, and
+nested() turns the library's array tree into the same form.
 
 The reference renderers are the direct readings of the three trace formats:
 they walk the int rows and convert every cell with str().  The renderers in
@@ -19,8 +20,21 @@ import csv
 import io
 import json
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
-from huffwyth.huffman import Internal, Leaf, TiePolicy
+from huffwyth.huffman import TiePolicy
+
+
+@dataclass(frozen=True)
+class Leaf:
+    weight: int
+
+
+@dataclass(frozen=True)
+class Internal:
+    left: "Leaf | Internal"
+    right: "Leaf | Internal"
+    weight: int
 
 
 def _insert_index(sorted_vals, value, tie_policy, key=None):
@@ -69,6 +83,18 @@ def reference_tree(seq, tie_policy):
     return queue[0]
 
 
+def nested(tree):
+    """The nested form of an array tree.
+
+    Children have lower indices than their parents, so one pass in index
+    order meets every child before its parent.
+    """
+    nodes = [Leaf(w) for w in tree.weights[:tree.size]]
+    for a, b, w in zip(tree.left, tree.right, tree.weights[tree.size:]):
+        nodes.append(Internal(nodes[a], nodes[b], w))
+    return nodes[-1]
+
+
 def reference_table(trace, marker="*"):
     """The step table, one row per intermediate sequence, merged value marked."""
     lines = ["step | sequence"]
@@ -115,14 +141,7 @@ def reference_json(trace, indent=None):
 
 def is_left_sided(tree):
     """True when the right node of every sibling pair is a leaf."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            if not isinstance(node.right, Leaf):
-                return False
-            stack.append(node.left)
-    return True
+    return all(b < tree.size for b in tree.right)
 
 
 def check_elongated_inequality(trace):

@@ -10,8 +10,7 @@ from huffwyth.huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
     HuffmanTrace,
-    Internal,
-    Leaf,
+    HuffmanTree,
     NotSortedError,
     OrderClass,
     TiePolicy,
@@ -33,6 +32,7 @@ from huffwyth.theorems import min_abs_sequence
 from reference_huffman import (
     check_elongated_inequality,
     is_left_sided,
+    nested,
     reference_trace,
     reference_tree,
 )
@@ -151,7 +151,7 @@ def assert_matches_reference(weights, policy):
     assert list(trace.positions) == positions
     assert trace.ties == tuple(row[1] == row[2] for row in rows if len(row) >= 3)
     assert trace.sequences() == rows
-    assert build_tree(weights, policy) == reference_tree(weights, policy)
+    assert nested(build_tree(weights, policy)) == reference_tree(weights, policy)
 
 
 @given(st.one_of(weight_seqs, tie_heavy_seqs), st.sampled_from(list(TiePolicy)))
@@ -172,7 +172,8 @@ def test_engine_matches_slicing_reference_bulk():
 
 def test_scale_without_rows(monkeypatch):
     # cost, class and tree at n = 10^5 (10^4 for the height n-1 Fibonacci
-    # input, whose weights grow to 2090 digits) never build the O(n^2) rows
+    # input, whose weights grow to 2090 digits) never build the O(n^2) rows;
+    # the height n-1 tree compares, hashes and prints without recursion
     def no_rows(trace):
         raise AssertionError("intermediate rows were built")
 
@@ -188,8 +189,15 @@ def test_scale_without_rows(monkeypatch):
     for weights, policy in cases:
         trace = run_huffman(weights, policy)
         cls = classify_trace(trace)
-        assert wepl(build_tree(weights, policy)) == sum(trace.merged)
+        tree = build_tree(weights, policy)
+        assert wepl(tree) == sum(trace.merged)
     assert cls == OrderClass.absolutely_ordered()
+    n = len(weights)
+    again = build_tree(weights, policy)
+    assert tree == again and hash(tree) == hash(again)
+    assert repr(tree).startswith("HuffmanTree(weights=(1, 1, 2, ")
+    assert leaf_depths(tree) == [n - 1] + list(range(n - 1, 0, -1))
+    assert is_elongated(tree)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"n = 10^5 cost, class and tree took {elapsed:.2f}s"
 
@@ -197,17 +205,17 @@ def test_scale_without_rows(monkeypatch):
 # ---------------------------------------------------------------- trees
 
 def test_tree_pair_shape():
+    # one internal node, the root, joins leaf 0 and leaf 1
     tree = build_tree((1, 2))
-    assert isinstance(tree, Internal)
-    assert tree.weight == 3
-    assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
+    assert tree == HuffmanTree(weights=(1, 2, 3), left=(0,), right=(1,))
+    assert tree.size == 2 and tree.weights[-1] == 3
 
 
 def test_tree_leaf_right_orientation():
     # merging a composite with a leaf must put the leaf on the right
     tree = build_tree((1, 1, 2))
-    assert isinstance(tree.left, Internal)
-    assert isinstance(tree.right, Leaf) and tree.right.weight == 2
+    assert tree.left[-1] >= tree.size
+    assert tree.right[-1] < tree.size and tree.weights[tree.right[-1]] == 2
 
 
 def test_tree_fibonacci_depths():
@@ -268,7 +276,7 @@ def test_tie_policy_invariance_of_cost(weights):
 def test_tree_preserves_weights(weights):
     tree = build_tree(weights)
     assert sorted(leaf_weights(tree)) == list(weights)
-    assert tree.weight == sum(weights)
+    assert tree.weights[-1] == sum(weights)
 
 
 # ---------------------------------------------------------------- codebook
@@ -320,7 +328,8 @@ def test_left_sided_implies_elongated():
 
 def test_elongated_but_not_left_sided():
     # swap a sibling pair by hand: still elongated, no longer left-sided
-    tree = Internal(Leaf(3), Internal(Internal(Leaf(1), Leaf(1), 2), Leaf(2), 4), 7)
+    # (the root's children are leaf 3 on the left and node 5 on the right)
+    tree = HuffmanTree(weights=(1, 1, 2, 3, 2, 4, 7), left=(0, 4, 3), right=(1, 2, 5))
     assert is_elongated(tree)
     assert not is_left_sided(tree)
 
@@ -459,8 +468,22 @@ def _extra_key(doc):
     doc["steps"][1]["note"] = "x"
 
 
+# i and pos must be JSON integers, even where another value equals them
+def _bool_for_int(doc):
+    doc["steps"][0]["pos"] = True
+
+
+def _float_for_int(doc):
+    doc["steps"][1]["i"] = 2.0
+
+
+def _nan_for_int(doc):
+    doc["steps"][1]["i"] = float("nan")
+
+
 @pytest.mark.parametrize("edit", [_edit_row, _edit_merged, _edit_pos, _edit_total, _drop_step,
-                                  _int_for_string, _extra_key])
+                                  _int_for_string, _extra_key, _bool_for_int, _float_for_int,
+                                  _nan_for_int])
 def test_trace_json_rejects_rows_that_do_not_replay(edit):
     doc = json.loads(trace_to_json(run_huffman(FIB10)))
     edit(doc)

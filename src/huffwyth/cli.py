@@ -7,8 +7,10 @@ verification (verify, selftest) finds a mismatch.
 
 import argparse
 import difflib
+import os
 import sys
 from importlib import resources
+from itertools import chain
 
 from . import golden, huffman, oracle, theorems, wythoff
 from .numbers import fib, lucas
@@ -38,20 +40,32 @@ def parse_weights(text: str) -> tuple[int, ...]:
         raise UsageError(f"malformed weight list: {text!r}") from None
 
 
+def _table_chunks(trace, marker):
+    """Yield format_trace_table's text, one row at a time."""
+    rows = trace.text_rows()
+    yield "step | sequence\n   0 | " + " ".join(next(rows)) + "\n"
+    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
+        if len(row) > 1:
+            row = list(row)
+            row[pos - 1] += marker
+        yield f"{i:>4} | " + " ".join(row) + "\n"
+
+
 def format_trace_table(trace, marker: str = MARKER) -> str:
     """Render a trace as the canonical table, one row per intermediate sequence.
 
     The merged value of each step carries a marker suffix at the position
     where the tie policy inserted it.
     """
+    return "".join(_table_chunks(trace, marker))
+
+
+def _csv_chunks(trace):
+    """Yield format_trace_csv's text, one row at a time."""
     rows = trace.text_rows()
-    parts = ["step | sequence\n   0 | ", " ".join(next(rows)), "\n"]
+    yield "step,merged,pos,weights\n0,,," + " ".join(next(rows)) + "\n"
     for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
-        if len(row) > 1:
-            row = list(row)
-            row[pos - 1] += marker
-        parts += (f"{i:>4} | ", " ".join(row), "\n")
-    return "".join(parts)
+        yield f"{i},{row[pos - 1]},{pos}," + " ".join(row) + "\n"
 
 
 def format_trace_csv(trace) -> str:
@@ -60,11 +74,7 @@ def format_trace_csv(trace) -> str:
     No field needs quoting: each is an int, empty, or digits joined by
     spaces.
     """
-    rows = trace.text_rows()
-    parts = ["step,merged,pos,weights\n0,,,", " ".join(next(rows)), "\n"]
-    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
-        parts += (f"{i},{row[pos - 1]},{pos},", " ".join(row), "\n")
-    return "".join(parts)
+    return "".join(_csv_chunks(trace))
 
 
 def format_tree(tree) -> str:
@@ -198,12 +208,14 @@ def _cmd_huffman(args, out) -> int:
     policy = _tie_policy(args.tie)
     trace = huffman.run_huffman(weights, policy)
     if args.trace:
+        # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
         if args.format == "json":
-            out(huffman.trace_to_json(trace, indent=2))
+            chunks = chain(huffman._json_chunks(trace, 2), ("\n",))
         elif args.format == "csv":
-            out(format_trace_csv(trace), end="")
+            chunks = _csv_chunks(trace)
         else:
-            out(format_trace_table(trace, args.marker), end="")
+            chunks = _table_chunks(trace, args.marker)
+        sys.stdout.writelines(chunks)
     if args.tree or args.codebook:
         tree = huffman.build_tree(weights, policy)
         if args.tree:
@@ -290,4 +302,12 @@ def _main(argv) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say, `| head`).  Python's recipe: point
+        # stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

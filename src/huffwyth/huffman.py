@@ -20,9 +20,13 @@ when a caller first asks for them.
 Rendering.  The table, CSV and JSON renderers never build the int rows.
 They convert each initial and merged value to decimal text once, 2n-1
 conversions in all, and replay the rows over those strings with the same
-replay that rebuilds the int rows.  The conversions go through
-numbers._to_decimal, so values of any length render on every supported
-interpreter without lifting its int/str digit limit.
+replay that rebuilds the int rows.  JSON is written directly, not by the
+json module: every field is a digit string or an int, so nothing needs
+escaping, and the text is byte-identical to json.dumps of the same
+document at every indent.  Each renderer yields its text a row at a time,
+and the command line writes every format to stdout row by row.  The
+conversions go through numbers._to_decimal, so values of any length render
+on every supported interpreter without lifting its int/str digit limit.
 
 Ties.  When the merged sum equals an existing entry the insertion point is
 ambiguous and a TiePolicy resolves it:
@@ -63,7 +67,7 @@ of the tie policy.
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from operator import mul
@@ -177,7 +181,26 @@ def _merge(seq, before):
     return merged, positions, ties, picks
 
 
-@dataclass(frozen=True)
+def _value_repr(value) -> str:
+    """repr(value) for ints, tuples and other values, ints at any length."""
+    if type(value) is int:
+        return _to_decimal(value)
+    if type(value) is tuple:
+        return "(" + ", ".join(map(_value_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    return repr(value)
+
+
+def _exact_repr(self) -> str:
+    """The dataclass repr, with ints converted through _to_decimal.
+
+    repr() of an int beyond the int/str digit limit raises ValueError;
+    _to_decimal does not.
+    """
+    return f"{type(self).__qualname__}(" + ", ".join(
+        f"{f.name}={_value_repr(getattr(self, f.name))}" for f in fields(self)) + ")"
+
+
+@dataclass(frozen=True, repr=False)
 class HuffmanTrace:
     """Record of a Huffman run: the input and, per step, what the engine emits.
 
@@ -190,6 +213,8 @@ class HuffmanTrace:
     merged: tuple[int, ...]
     positions: tuple[int, ...]
     ties: tuple[bool, ...]
+
+    __repr__ = _exact_repr
 
     @property
     def size(self) -> int:
@@ -245,7 +270,7 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
     return HuffmanTrace(seq, tuple(merged), tuple(positions), tuple(ties))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class HuffmanTree:
     """A binary tree on n leaves held in three flat tuples.
 
@@ -259,6 +284,8 @@ class HuffmanTree:
     weights: tuple[int, ...]
     left: tuple[int, ...]
     right: tuple[int, ...]
+
+    __repr__ = _exact_repr
 
     @property
     def size(self) -> int:
@@ -431,7 +458,11 @@ def classify_order(weights: Iterable[int]) -> OrderClass:
 
 
 def _document(rows, positions) -> dict:
-    """The JSON document of a trace, from its text rows P(0), ..., P(n-1)."""
+    """The JSON document of a trace, from its text rows P(0), ..., P(n-1).
+
+    trace_from_json compares a parsed document with this one; trace_to_json
+    writes the same document's text directly.
+    """
     return {
         "initial": rows[0],
         "steps": [
@@ -442,9 +473,40 @@ def _document(rows, positions) -> dict:
     }
 
 
+def _json_chunks(trace: HuffmanTrace, indent: int | None):
+    """Yield the text of json.dumps(document, indent=indent) for a trace.
+
+    The head comes first, then one chunk per step, then the tail.  Every
+    field is a digit string or an int, so nothing needs escaping: each of
+    the 2n-1 values is quoted once and the rows are replayed over the quoted
+    strings.
+    """
+    if indent is None:
+        pad = [""] * 5
+        sep = [", "] * 5
+    else:
+        pad = ["\n" + " " * (indent * depth) for depth in range(5)]
+        sep = ["," + p for p in pad]
+    rows = trace._replay(tuple('"%s"' % _to_decimal(v) for v in trace.initial),
+                         tuple('"%s"' % _to_decimal(v) for v in trace.merged))
+    prev = next(rows)
+    yield f'{{{pad[1]}"initial": [{pad[2]}{sep[2].join(prev)}{pad[1]}]{sep[1]}"steps": ['
+    step = (f'{{{pad[3]}"i": %d{sep[3]}"input": [{pad[4]}%s{pad[3]}]{sep[3]}'
+            f'"merged": %s{sep[3]}"pos": %d{pad[2]}}}')
+    lead = pad[2]
+    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
+        yield lead + step % (i, sep[4].join(prev), row[pos - 1], pos)
+        lead, prev = sep[2], row
+    yield f'{pad[1] if trace.merged else ""}]{sep[1]}"total": {prev[0]}{pad[0]}}}'
+
+
 def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
-    """Serialize a trace to JSON with weights as decimal strings."""
-    return json.dumps(_document(list(trace.text_rows()), trace.positions), indent=indent)
+    """Serialize a trace to JSON with weights as decimal strings.
+
+    The text is byte-identical to json.dumps of the document with the same
+    indent.
+    """
+    return "".join(_json_chunks(trace, indent))
 
 
 def _not_an_int(token):

@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 import json
 import math
 
-from .huffman import OrderClass, _merge, validate_weights
+from .huffman import OrderClass, _exact_repr, _merge, validate_weights
 from .numbers import _to_decimal
 from .theorems import min_k_cost, min_k_sequence
 
@@ -126,7 +126,7 @@ def optimal_tree_cost(weights) -> int:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class OracleReport:
     """Outcome of a brute-force scan over one order class; k is None for absolutely ordered."""
 
@@ -140,6 +140,8 @@ class OracleReport:
     closed_form_cost: int
     closed_form_sequence: tuple[int, ...]
     matches_closed_form: bool
+
+    __repr__ = _exact_repr
 
 
 def _scan_class(n, k, max_weight, limit):

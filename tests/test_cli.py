@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 from huffwyth import cli, oracle
@@ -176,6 +178,23 @@ def test_huffman_tree_and_codebook(capsys):
 def test_huffman_codebook_single_leaf(capsys):
     rc, out, _ = run(capsys, "huffman", "--weights", "9", "--codebook")
     assert rc == 0 and out == "0 9 -\n"
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # 3000 equal weights make a 9 MB trace, far more than a pipe holds
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["huffman", "--weights", ",".join(["1"] * 3000), "--trace", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from huffwyth.cli import entrypoint; entrypoint()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b"step,merged,pos,weights\n0,,,1 1 1")
+    assert err == b""    # no traceback
 
 
 # ------------------------------------------------------------ classify

@@ -10,11 +10,12 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, make_dataclass
 
 from huffwyth.cli import format_trace_csv, format_trace_table
-from huffwyth.huffman import run_huffman, trace_from_json, trace_to_json
+from huffwyth.huffman import build_tree, run_huffman, trace_from_json, trace_to_json
 from huffwyth.numbers import _from_decimal, _to_decimal, fib
-from huffwyth.oracle import OracleReport, report_to_json
+from huffwyth.oracle import OracleReport, brute_force_min, report_to_json
 
 DEFAULT_LIMIT = 4300
 BIG = fib(30000)    # 6270 digits
@@ -95,3 +96,33 @@ def test_report_to_json_beyond_limit():
     assert doc["best_cost"] == doc["closed_form_cost"] == unlimited_str(BIG + 1)
     assert doc["best_sequences"] == [doc["closed_form_sequence"]] == [["1", unlimited_str(BIG)]]
     assert doc["weight_bound"] == unlimited_str(BIG)
+
+
+def dataclass_repr(obj):
+    """The repr the dataclass decorator generates for obj's fields."""
+    names = [f.name for f in fields(obj)]
+    plain = make_dataclass(type(obj).__qualname__, names)
+    return repr(plain(*(getattr(obj, name) for name in names)))
+
+
+def test_repr_matches_dataclass_repr():
+    assert repr(run_huffman((1, 1, 2))) == (
+        "HuffmanTrace(initial=(1, 1, 2), merged=(2, 4), positions=(1, 1), ties=(False,))")
+    inputs = ((5,), (2, 2), (1, 1, 2, 3), (1, 2, 2, 2, 4))
+    objects = [build(w) for build in (run_huffman, build_tree) for w in inputs]
+    objects += [brute_force_min(4, 0), brute_force_min(5, None)]
+    for obj in objects:
+        assert repr(obj) == dataclass_repr(obj)
+
+
+def test_repr_beyond_limit():
+    big = unlimited_str(BIG)
+    report = OracleReport(
+        n=2, k=None, weight_bound=BIG, candidates_examined=1, members_examined=1,
+        best_cost=BIG + 1, best_sequences=((1, BIG),), closed_form_cost=BIG + 1,
+        closed_form_sequence=(1, BIG), matches_closed_form=True,
+    )
+    with digit_limit(DEFAULT_LIMIT):
+        assert repr(build_tree((1, BIG))).startswith(f"HuffmanTree(weights=(1, {big}, ")
+        assert repr(run_huffman((1, BIG))).startswith(f"HuffmanTrace(initial=(1, {big}), ")
+        assert f"best_sequences=((1, {big}),)" in repr(report)

@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from hypothesis import example, given, strategies as st
 
+from huffwyth import cli, huffman
 from huffwyth.cli import format_trace_csv, format_trace_table
 from huffwyth.huffman import HuffmanTrace, TiePolicy, run_huffman, trace_to_json
 from huffwyth.theorems import min_k_sequence
@@ -20,7 +22,7 @@ def assert_renders_like_reference(trace, marker, indent):
 
 
 @given(render_weights, st.sampled_from(list(TiePolicy)), st.text(max_size=3),
-       st.sampled_from([None, 2]))
+       st.sampled_from([None, 0, 1, 2, 4]))
 @example((4,), TiePolicy.MERGED_BEFORE_EQUALS, "*", None)
 @example((4,), TiePolicy.MERGED_AFTER_EQUALS, "*", 2)
 @example((2, 2), TiePolicy.MERGED_BEFORE_EQUALS, "<-", 2)
@@ -49,3 +51,25 @@ def test_rendering_builds_no_int_rows(monkeypatch):
     assert format_trace_table(trace).count("\n") == 401
     assert format_trace_csv(trace).count("\n") == 401
     assert trace_to_json(trace, indent=2).startswith("{")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the command built the whole text")
+
+
+@pytest.mark.parametrize("weights", [
+    (7,), (2, 3), tuple(sorted(random.Random(3).choices((1, 2, 3), k=40))),
+    min_k_sequence(400, 3),
+], ids=["n=1", "n=2", "ties-1..3", "k-minimizer-400"])
+@pytest.mark.parametrize("tie", ["before", "after"])
+def test_cli_streams_the_library_text(weights, tie, capsys, monkeypatch):
+    trace = run_huffman(weights, TiePolicy(tie))
+    want = {"json": trace_to_json(trace, 2) + "\n", "csv": format_trace_csv(trace),
+            "table": format_trace_table(trace)}
+    monkeypatch.setattr(huffman, "trace_to_json", _refuse)
+    monkeypatch.setattr(cli, "format_trace_csv", _refuse)
+    monkeypatch.setattr(cli, "format_trace_table", _refuse)
+    argv = ["huffman", "--weights", ",".join(map(str, weights)), "--tie", tie, "--trace"]
+    for fmt, text in want.items():
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == text

@@ -138,7 +138,7 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
-def _merge(seq, before):
+def _merge(seq, before, pattern=None):
     """Run the two-queue merge on a validated sorted tuple.
 
     Returns (merged, positions, ties, picks): the merged value of each step,
@@ -146,12 +146,16 @@ def _merge(seq, before):
     p2(i) == p3(i) for the rows i = 0..n-3, and the two nodes each step
     consumes, in queue order.  A pick below n is a leaf index; n + q is the
     node made by step q+1.  `before` selects MERGED_BEFORE_EQUALS.
+
+    With a pattern of n-2 expected tie flags, the run stops and returns None
+    at the first row t whose flag differs from pattern[t]; a run that
+    matches every row returns the same four lists as without a pattern.
     """
     n = len(seq)
     merged, positions, ties, picks = [], [], [], []
     i = j = 0           # heads of the leaf queue seq[i:] and the merged queue merged[j:]
     end = mirror = 0    # `before`: the equal-value block of merged[] being consumed ends at end
-    for _ in range(n - 1):
+    for q in range(n - 1):
         total = 0
         for _ in (0, 1):
             if j < len(merged) and (i == n or merged[j] < seq[i] or before and merged[j] == seq[i]):
@@ -172,6 +176,8 @@ def _merge(seq, before):
             ties.append(last == (seq[i] if j == len(merged) or seq[i] < merged[j] else merged[j]))
         elif j < len(merged):
             ties.append(last == merged[j])
+        if pattern is not None and q < n - 2 and ties[q] != pattern[q]:
+            return None
         if before:
             pos = bisect_left(seq, total, i) - i + bisect_left(merged, total, j) - j
         else:

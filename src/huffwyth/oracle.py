@@ -18,6 +18,11 @@ of all merged values (each weight contributes once per merge containing it,
 i.e. once per level above its leaf), giving a cost path that never touches
 the tree builder.
 
+The class is decided first.  Each candidate runs through the merge engine
+only up to its first row whose tie flag p2(i) == p3(i) differs from the
+class pattern; only members of the class finish the run and have their two
+costs compared.  Every candidate is still counted in candidates_examined.
+
 optimal_tree_cost cross-checks from a third direction: it enumerates every
 strictly binary tree shape on n leaves (as a set of leaf depth multisets),
 pairs depths and weights by the rearrangement inequality, and takes the
@@ -63,18 +68,31 @@ class TooLargeError(ValueError):
     """Raised when exhaustive tree enumeration is asked for n > 10."""
 
 
-def enumerate_sequences(n, max_weight):
-    """Yield all non-decreasing n-tuples over 1..max_weight in lexicographic order."""
+def _check_box(n, max_weight):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if max_weight < 1:
         raise ValueError(f"need max_weight >= 1, got {max_weight}")
+
+
+def enumerate_sequences(n, max_weight):
+    """Yield all non-decreasing n-tuples over 1..max_weight in lexicographic order."""
+    _check_box(n, max_weight)
     return combinations_with_replacement(range(1, max_weight + 1), n)
 
 
 def count_sequences(n: int, max_weight: int) -> int:
     """Number of such tuples: C(n + max_weight - 1, n)."""
+    _check_box(n, max_weight)
     return math.comb(n + max_weight - 1, n)
+
+
+def _elongated_cost(seq) -> int:
+    """elongated_cost of a tuple already known to be valid."""
+    n = len(seq)
+    if n == 1:
+        return 0
+    return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
 
 
 def elongated_cost(weights) -> int:
@@ -84,11 +102,7 @@ def elongated_cost(weights) -> int:
     pairing the two deepest slots with the two smallest weights is optimal
     for a sorted input.
     """
-    seq = validate_weights(weights)
-    n = len(seq)
-    if n == 1:
-        return 0
-    return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
+    return _elongated_cost(validate_weights(weights))
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +176,13 @@ def _scan_class(n, k, max_weight, limit):
     pattern = target.tie_flags(n)
     for cand in enumerate_sequences(n, max_weight):
         # Candidates are valid by construction, so the scan runs the merge
-        # engine directly and compares its tie flags with the class pattern.
-        merged, _, ties, _ = _merge(cand, True)
-        if ties != pattern:
+        # engine directly, and the engine gives up on a candidate at its
+        # first row whose tie flag is not the class pattern's.
+        run = _merge(cand, True, pattern)
+        if run is None:
             continue
-        cost = sum(merged)
-        if cost != elongated_cost(cand):
+        cost = sum(run[0])
+        if cost != _elongated_cost(cand):
             continue  # no optimal tree of this sequence is elongated
         members += 1
         if best is None or cost < best:
@@ -195,9 +210,12 @@ def _scan_class(n, k, max_weight, limit):
 def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     """Scan the k-ordered class of size n and compare against the closed form.
 
-    k=None scans the absolutely ordered class.  max_weight defaults to
-    max(min_k_sequence(n, k)) + 2, which is enough to expose any cheaper
-    member if one existed.  Enumeration is sequential and the report is
+    k=None scans the absolutely ordered class.  Every non-decreasing tuple
+    over 1..max_weight is a candidate, and each runs through the merge
+    engine only up to its first row off the class's tie pattern.
+    max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
+    heuristic, not a proven bound: a cheaper member with a larger weight
+    would go unseen.  Enumeration is sequential and the report is
     deterministic.
     """
     return _scan_class(n, k, max_weight, limit)

@@ -14,6 +14,9 @@ huffwyth must produce the same bytes.
 
 is_left_sided and check_elongated_inequality are shape and trace
 cross-checks from the paper that only the tests use.
+
+reference_scan is the oracle's scan by its definition, through public
+calls only: a full trace and its classification for every candidate.
 """
 
 import csv
@@ -22,7 +25,9 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from huffwyth.huffman import TiePolicy
+from huffwyth.huffman import OrderClass, TiePolicy, classify_trace, run_huffman
+from huffwyth.oracle import EmptyClassError, OracleReport, elongated_cost, enumerate_sequences
+from huffwyth.theorems import min_k_cost, min_k_sequence
 
 
 @dataclass(frozen=True)
@@ -151,3 +156,40 @@ def check_elongated_inequality(trace):
     elongated optimal tree.
     """
     return all(len(seq) < 4 or seq[0] + seq[1] <= seq[3] for seq in trace.sequences())
+
+
+def reference_scan(n, k, max_weight):
+    """The OracleReport of brute_force_min(n, k, max_weight), by definition.
+
+    Every candidate gets a full trace; it is a member when its
+    classification is the class and its Huffman cost is the elongated cost.
+    """
+    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
+    candidates = members = 0
+    best, best_seqs = None, []
+    for cand in enumerate_sequences(n, max_weight):
+        candidates += 1
+        trace = run_huffman(cand)
+        cost = sum(trace.merged)
+        if classify_trace(trace) != target or cost != elongated_cost(cand):
+            continue
+        members += 1
+        if best is None or cost < best:
+            best, best_seqs = cost, [cand]
+        elif cost == best:
+            best_seqs.append(cand)
+    if best is None:
+        raise EmptyClassError(f"no members of the class found with weights up to {max_weight}")
+    closed_seq, closed_cost = min_k_sequence(n, k), min_k_cost(n, k)
+    return OracleReport(
+        n=n,
+        k=k,
+        weight_bound=max_weight,
+        candidates_examined=candidates,
+        members_examined=members,
+        best_cost=best,
+        best_sequences=tuple(best_seqs),
+        closed_form_cost=closed_cost,
+        closed_form_sequence=closed_seq,
+        matches_closed_form=(best == closed_cost and closed_seq in best_seqs),
+    )

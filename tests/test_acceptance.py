@@ -71,14 +71,16 @@ def test_criterion_4_oracle_minimality():
     start = time.perf_counter()
     scans = 0
     for n in range(4, 8):
-        for k in range(0, n - 2):
+        for k in [None, *range(0, n - 2)]:
             report = brute_force_min(n, k)
             assert report.matches_closed_form, (n, k, report)
             scans += 1
     elapsed = time.perf_counter() - start
+    assert scans == 18
     assert elapsed < 60.0, f"oracle scans took {elapsed:.3f}s"
-    print(f"PASS criterion 4: {scans} brute-force scans (n = 4..7, every k) "
-          f"all match the closed forms in {elapsed:.3f}s")
+    print(f"PASS criterion 4: {scans} brute-force scans (n = 4..7, every k "
+          f"and the absolutely ordered class) all match the closed forms "
+          f"in {elapsed:.3f}s")
 
 
 def test_criterion_5_huffman_optimality():

@@ -232,6 +232,8 @@ def test_verify_abs(capsys):
 def test_verify_small_bound_is_input_error(capsys):
     rc, _, err = run(capsys, "verify", "--n", "4", "--k", "0", "--max-weight", "2")
     assert rc == 1 and "no members" in err
+    rc, _, err = run(capsys, "verify", "--n", "4", "--k", "0", "--max-weight", "-5")
+    assert rc == 1 and "need max_weight >= 1, got -5" in err
 
 
 def test_verify_limit_violation(capsys):

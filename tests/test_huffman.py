@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import (
@@ -27,6 +27,7 @@ from huffwyth.huffman import (
     trace_to_json,
     validate_weights,
     wepl,
+    _merge,
 )
 from huffwyth.theorems import min_abs_sequence
 from reference_huffman import (
@@ -374,6 +375,31 @@ def test_tie_flags_are_the_class_pattern():
     assert OrderClass.k_ordered(1).tie_flags(5) == [True, True, False]
     with pytest.raises(ValueError):
         OrderClass.unordered().tie_flags(5)
+
+
+@st.composite
+def seqs_and_patterns(draw):
+    """A sorted input and n-2 expected tie flags: a class's pattern or any."""
+    top = draw(st.sampled_from([4, 10**12]))
+    seq = tuple(sorted(draw(st.lists(st.integers(1, top), min_size=1, max_size=12))))
+    rows = max(len(seq) - 2, 0)
+    if rows and draw(st.booleans()):
+        k = draw(st.sampled_from([None, *range(rows)]))
+        target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
+        return seq, target.tie_flags(len(seq))
+    return seq, draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+
+
+@given(seqs_and_patterns(), st.booleans())
+@settings(max_examples=500)
+def test_merge_with_pattern_stops_only_off_pattern(case, before):
+    seq, pattern = case
+    full = _merge(seq, before)
+    run = _merge(seq, before, pattern)
+    if full[2] != pattern:
+        assert run is None
+    else:
+        assert run == full
 
 
 def test_order_class_str():

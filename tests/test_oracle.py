@@ -18,6 +18,7 @@ from huffwyth.oracle import (
     report_to_json,
 )
 from huffwyth.theorems import min_abs_cost, min_k_cost, min_k_sequence
+from reference_huffman import reference_scan
 
 small_seqs = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=8
@@ -43,10 +44,15 @@ def test_enumerate_count_and_order():
 
 
 def test_enumerate_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_sequences(0, 3))
-    with pytest.raises(ValueError):
-        list(enumerate_sequences(3, 0))
+    for n, max_weight, message in ((0, 3, "need n >= 1, got 0"),
+                                   (3, 0, "need max_weight >= 1, got 0")):
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_sequences(n, max_weight))
+        with pytest.raises(ValueError, match=message):
+            count_sequences(n, max_weight)
+    # the scan counts its candidates first, so it reports the same error
+    with pytest.raises(ValueError, match="need max_weight >= 1, got -5"):
+        brute_force_min(4, 0, max_weight=-5)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
@@ -150,6 +156,24 @@ def test_brute_force_empty_class():
 def test_brute_force_space_limit():
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_min(6, 0, max_weight=9, limit=10)
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except EmptyClassError as exc:
+        return EmptyClassError, str(exc)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_brute_force_matches_reference_scan(n):
+    # the early-exit scan against full traces and classification, boxes
+    # from empty classes up to three past the default bound
+    for k in [None, *range(n - 2)]:
+        default = max(min_k_sequence(n, k)) + 2
+        for max_weight in (1, 2, 3, None, default + 3):
+            expected = _scan_outcome(reference_scan, n, k, max_weight or default)
+            assert _scan_outcome(brute_force_min, n, k, max_weight) == expected, (n, k, max_weight)
 
 
 def test_brute_force_deterministic():

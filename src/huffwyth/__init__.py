@@ -16,7 +16,7 @@ All arithmetic is exact; no floats appear anywhere.
 """
 
 from .numbers import fib, lower_wythoff, lucas
-from .wythoff import check_fib_row_identity, wythoff_entry, wythoff_row
+from .wythoff import wythoff_entry, wythoff_row
 from .huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
@@ -45,7 +45,6 @@ from .theorems import (
     SizeTooSmallError,
     corollary_sequences,
     min_abs_cost,
-    min_abs_sequence,
     min_k_cost,
     min_k_sequence,
     min_k_sequence_fib_form,
@@ -54,13 +53,11 @@ from .oracle import (
     EmptyClassError,
     OracleReport,
     SearchSpaceTooLargeError,
-    TooLargeError,
     brute_force_min,
     brute_force_min_abs,
     count_sequences,
     elongated_cost,
     enumerate_sequences,
-    optimal_tree_cost,
     report_to_json,
 )
 
@@ -68,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "fib", "lucas", "lower_wythoff",
-    "wythoff_entry", "wythoff_row", "check_fib_row_identity",
+    "wythoff_entry", "wythoff_row",
     "TiePolicy", "DEFAULT_TIE_POLICY", "HuffmanTrace", "HuffmanTree",
     "OrderKind", "OrderClass",
     "EmptySequenceError", "NotSortedError", "TooShortError",
@@ -77,11 +74,10 @@ __all__ = [
     "is_elongated", "classify_order", "classify_trace",
     "trace_to_json", "trace_from_json",
     "SizeTooSmallError", "KOutOfRangeError",
-    "min_abs_sequence", "min_abs_cost", "min_k_sequence",
-    "min_k_sequence_fib_form", "min_k_cost", "corollary_sequences",
-    "SearchSpaceTooLargeError", "EmptyClassError", "TooLargeError",
-    "OracleReport", "enumerate_sequences", "count_sequences",
-    "elongated_cost", "optimal_tree_cost",
+    "min_abs_cost", "min_k_sequence", "min_k_sequence_fib_form",
+    "min_k_cost", "corollary_sequences",
+    "SearchSpaceTooLargeError", "EmptyClassError", "OracleReport",
+    "enumerate_sequences", "count_sequences", "elongated_cost",
     "brute_force_min", "brute_force_min_abs", "report_to_json",
     "__version__",
 ]

@@ -13,7 +13,7 @@ from importlib import resources
 from itertools import chain
 
 from . import golden, huffman, oracle, theorems, wythoff
-from .numbers import fib, lucas
+from .numbers import _to_decimal, fib, lucas
 
 __all__ = ["main", "entrypoint"]
 
@@ -31,11 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_weights(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of positive integers."""
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise UsageError(f"malformed weight list: {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        # int("") raises too, so an empty part is malformed
+        return tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
         raise UsageError(f"malformed weight list: {text!r}") from None
 
@@ -174,7 +172,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", action="store_true", help="print the tree")
     p.add_argument("--codebook", action="store_true", help="print the codewords")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--tie", choices=["before", "after"], default="before",
+    p.add_argument("--tie", choices=[t.value for t in huffman.TiePolicy], default="before",
                    help="where the merged node lands among equal values")
     p.add_argument("--marker", default=MARKER,
                    help="suffix marking the merged value in table output")
@@ -193,19 +191,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tie_policy(name: str) -> huffman.TiePolicy:
-    return (
-        huffman.TiePolicy.MERGED_BEFORE_EQUALS
-        if name == "before"
-        else huffman.TiePolicy.MERGED_AFTER_EQUALS
-    )
-
-
-def _cmd_huffman(args, out) -> int:
+def _cmd_huffman(args) -> int:
     weights = parse_weights(args.weights)
     if args.sort:
         weights = tuple(sorted(weights))
-    policy = _tie_policy(args.tie)
+    policy = huffman.TiePolicy(args.tie)
     trace = huffman.run_huffman(weights, policy)
     if args.trace:
         # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
@@ -219,18 +209,12 @@ def _cmd_huffman(args, out) -> int:
     if args.tree or args.codebook:
         tree = huffman.build_tree(weights, policy)
         if args.tree:
-            out(format_tree(tree), end="")
+            print(format_tree(tree), end="")
         if args.codebook:
-            out(format_codebook(tree), end="")
+            print(format_codebook(tree), end="")
     if not (args.trace or args.tree or args.codebook):
-        out(trace.total)
+        print(trace.total)
     return 0
-
-
-def _cmd_verify(args, out) -> int:
-    report = oracle.brute_force_min(args.n, args.k, args.max_weight, args.limit)
-    out(oracle.report_to_json(report, indent=2))
-    return 0 if report.matches_closed_form else 2
 
 
 def main(argv=None) -> int:
@@ -254,10 +238,6 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-
-    def out(*parts, end="\n"):
-        print(*parts, end=end)
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -266,36 +246,35 @@ def _main(argv) -> int:
         return 1
     try:
         if args.command == "fib":
-            out(fib(args.n))
+            print(fib(args.n))
         elif args.command == "lucas":
-            out(lucas(args.n))
+            print(lucas(args.n))
         elif args.command == "wythoff":
             if args.cols < 1:
-                raise UsageError(f"--cols must be >= 1, got {args.cols}")
+                raise UsageError(f"--cols must be >= 1, got {_to_decimal(args.cols)}")
             start = 0 if args.generalized else 2
             row = wythoff.wythoff_row(args.row, start + args.cols)
-            out(" ".join(str(v) for v in row[start:]))
+            print(" ".join(str(v) for v in row[start:]))
         elif args.command == "minseq":
             seq, cost = theorems.min_k_sequence(args.n, args.k), theorems.min_k_cost(args.n, args.k)
-            out(",".join(str(w) for w in seq))
-            out(f"cost {cost}")
+            print(",".join(str(w) for w in seq))
+            print(f"cost {cost}")
         elif args.command == "cost":
-            out(theorems.min_k_cost(args.n, args.k))
+            print(theorems.min_k_cost(args.n, args.k))
         elif args.command == "huffman":
-            return _cmd_huffman(args, out)
+            return _cmd_huffman(args)
         elif args.command == "classify":
             weights = parse_weights(args.weights)
             if args.sort:
                 weights = tuple(sorted(weights))
-            out(huffman.classify_order(weights))
+            print(huffman.classify_order(weights))
         elif args.command == "verify":
-            return _cmd_verify(args, out)
+            report = oracle.brute_force_min(args.n, args.k, args.max_weight, args.limit)
+            print(oracle.report_to_json(report, indent=2))
+            return 0 if report.matches_closed_form else 2
         elif args.command == "selftest":
-            return run_selftest(out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+            return run_selftest(print)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -131,10 +131,11 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
         raise EmptySequenceError("weight sequence is empty")
     for w in seq:
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise ValueError(f"weights must be positive integers, got {w!r}")
+            raise ValueError(f"weights must be positive integers, got {_value_repr(w)}")
     for a, b in zip(seq, seq[1:]):
         if a > b:
-            raise NotSortedError(f"weights must be non-decreasing, got {a} before {b}")
+            raise NotSortedError(
+                f"weights must be non-decreasing, got {_to_decimal(a)} before {_to_decimal(b)}")
     return seq
 
 

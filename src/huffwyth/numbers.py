@@ -34,7 +34,7 @@ def _fib_pair(i: int) -> tuple[int, int]:
     over the bits of i from the top.
     """
     if i < 0:
-        raise ValueError(f"Fibonacci index must be nonnegative, got {i}")
+        raise ValueError(f"Fibonacci index must be nonnegative, got {_to_decimal(i)}")
     a, b = 0, 1
     for bit in bin(i)[2:]:
         c = a * (2 * b - a)
@@ -54,7 +54,7 @@ def lucas(i: int) -> int:
     L(i) = F(i-1) + F(i+1) = 2 F(i+1) - F(i).
     """
     if i < 1:
-        raise ValueError(f"Lucas index must be >= 1, got {i}")
+        raise ValueError(f"Lucas index must be >= 1, got {_to_decimal(i)}")
     a, b = _fib_pair(i)
     return 2 * b - a
 
@@ -67,7 +67,7 @@ def lower_wythoff(n: int) -> int:
     the module docstring.
     """
     if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+        raise ValueError(f"index must be nonnegative, got {_to_decimal(n)}")
     m = n + 1
     return (m + math.isqrt(5 * m * m)) // 2
 
@@ -76,9 +76,9 @@ _PIECE_DIGITS = 512
 _PIECE_BITS = 1700      # 2**1700 < 10**512
 
 
-def _to_decimal(x: int) -> str:
-    """Return str(x) for an int of any size, whatever the int/str digit limit."""
-    if x.bit_length() <= _PIECE_BITS:
+def _to_decimal(x) -> str:
+    """Return str(x) for an int of any size, whatever the int/str digit limit, or any other x."""
+    if not isinstance(x, int) or x.bit_length() <= _PIECE_BITS:
         return str(x)
     if x < 0:
         return "-" + _to_decimal(-x)

@@ -22,15 +22,9 @@ The class is decided first.  Each candidate runs through the merge engine
 only up to its first row whose tie flag p2(i) == p3(i) differs from the
 class pattern; only members of the class finish the run and have their two
 costs compared.  Every candidate is still counted in candidates_examined.
-
-optimal_tree_cost cross-checks from a third direction: it enumerates every
-strictly binary tree shape on n leaves (as a set of leaf depth multisets),
-pairs depths and weights by the rearrangement inequality, and takes the
-global minimum.  This is exponential and capped at n <= 10.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 import json
 import math
@@ -42,12 +36,10 @@ from .theorems import min_k_cost, min_k_sequence
 __all__ = [
     "SearchSpaceTooLargeError",
     "EmptyClassError",
-    "TooLargeError",
     "OracleReport",
     "enumerate_sequences",
     "count_sequences",
     "elongated_cost",
-    "optimal_tree_cost",
     "brute_force_min",
     "brute_force_min_abs",
     "report_to_json",
@@ -64,15 +56,11 @@ class EmptyClassError(ValueError):
     """Raised when no candidate belongs to the requested class (bound too small)."""
 
 
-class TooLargeError(ValueError):
-    """Raised when exhaustive tree enumeration is asked for n > 10."""
-
-
 def _check_box(n, max_weight):
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {_to_decimal(n)}")
     if max_weight < 1:
-        raise ValueError(f"need max_weight >= 1, got {max_weight}")
+        raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
 
 
 def enumerate_sequences(n, max_weight):
@@ -90,8 +78,6 @@ def count_sequences(n: int, max_weight: int) -> int:
 def _elongated_cost(seq) -> int:
     """elongated_cost of a tuple already known to be valid."""
     n = len(seq)
-    if n == 1:
-        return 0
     return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
 
 
@@ -103,41 +89,6 @@ def elongated_cost(weights) -> int:
     for a sorted input.
     """
     return _elongated_cost(validate_weights(weights))
-
-
-@lru_cache(maxsize=None)
-def _depth_profiles(n: int) -> tuple[tuple[int, ...], ...]:
-    """All leaf depth multisets of strictly binary trees with n leaves.
-
-    Each profile is sorted in descending order.  Profiles of a tree are the
-    union of left and right subtree profiles shifted one level down.
-    """
-    if n == 1:
-        return ((0,),)
-    found = set()
-    for left in range(1, n // 2 + 1):
-        for a in _depth_profiles(left):
-            for b in _depth_profiles(n - left):
-                found.add(tuple(sorted((d + 1 for d in a + b), reverse=True)))
-    return tuple(sorted(found))
-
-
-def optimal_tree_cost(weights) -> int:
-    """Exact minimum weighted external path length over all tree shapes.
-
-    Exhaustive over leaf depth profiles, so restricted to n <= 10.
-    """
-    seq = validate_weights(weights)
-    n = len(seq)
-    if n > 10:
-        raise TooLargeError(f"exhaustive shape enumeration is capped at n = 10, got {n}")
-    best = None
-    for profile in _depth_profiles(n):
-        # profile is descending and seq ascending, the cheapest pairing
-        cost = sum(d * w for d, w in zip(profile, seq))
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 @dataclass(frozen=True, repr=False)
@@ -167,7 +118,7 @@ def _scan_class(n, k, max_weight, limit):
     total = count_sequences(n, max_weight)
     if total > limit:
         raise SearchSpaceTooLargeError(
-            f"{total} candidates exceed the limit of {limit}; "
+            f"{_to_decimal(total)} candidates exceed the limit of {_to_decimal(limit)}; "
             f"lower max_weight or raise the limit"
         )
     best = None
@@ -191,7 +142,7 @@ def _scan_class(n, k, max_weight, limit):
             best_seqs.append(cand)
     if best is None:
         raise EmptyClassError(
-            f"no members of the class found with weights up to {max_weight}"
+            f"no members of the class found with weights up to {_to_decimal(max_weight)}"
         )
     return OracleReport(
         n=n,

@@ -26,17 +26,15 @@ their weighted external path lengths have closed forms:
 
 The absolutely ordered class is the k-ordered definition with no tie step,
 and the k-ordered cost at k = -1 is the absolutely ordered one.  So
-min_k_sequence and min_k_cost take k=None for the absolutely ordered class;
-min_abs_sequence(n) and min_abs_cost(n) are those calls.
+min_k_sequence and min_k_cost take k=None for the absolutely ordered class.
 """
 
-from .numbers import fib
+from .numbers import _to_decimal, fib
 from .wythoff import wythoff_row
 
 __all__ = [
     "SizeTooSmallError",
     "KOutOfRangeError",
-    "min_abs_sequence",
     "min_abs_cost",
     "min_k_sequence",
     "min_k_sequence_fib_form",
@@ -55,13 +53,13 @@ class KOutOfRangeError(ValueError):
 
 def _check_n(n: int) -> None:
     if n < 3:
-        raise SizeTooSmallError(f"need n >= 3, got {n}")
+        raise SizeTooSmallError(f"need n >= 3, got {_to_decimal(n)}")
 
 
 def _check_k(n: int, k: int | None) -> None:
     _check_n(n)
     if k is not None and not 0 <= k <= n - 3:
-        raise KOutOfRangeError(f"need 0 <= k <= n-3 = {n - 3}, got {k}")
+        raise KOutOfRangeError(f"need 0 <= k <= n-3 = {_to_decimal(n - 3)}, got {_to_decimal(k)}")
 
 
 def _fibs(m: int) -> list[int]:
@@ -71,11 +69,6 @@ def _fibs(m: int) -> list[int]:
         out.append(a)
         a, b = b, a + b
     return out
-
-
-def min_abs_sequence(n: int) -> tuple[int, ...]:
-    """The minimizing absolutely ordered sequence: min_k_sequence(n, None)."""
-    return min_k_sequence(n, None)
 
 
 def min_abs_cost(n: int) -> int:

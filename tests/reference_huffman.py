@@ -12,8 +12,8 @@ The reference renderers are the direct readings of the three trace formats:
 they walk the int rows and convert every cell with str().  The renderers in
 huffwyth must produce the same bytes.
 
-is_left_sided and check_elongated_inequality are shape and trace
-cross-checks from the paper that only the tests use.
+is_left_sided, check_elongated_inequality, check_fib_row_identity and the
+exhaustive shape search optimal_tree_cost are cross-checks that only the tests use.
 
 reference_scan is the oracle's scan by its definition, through public
 calls only: a full trace and its classification for every candidate.
@@ -24,10 +24,13 @@ import io
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
-from huffwyth.huffman import OrderClass, TiePolicy, classify_trace, run_huffman
+from huffwyth.huffman import OrderClass, TiePolicy, classify_trace, run_huffman, validate_weights
+from huffwyth.numbers import fib
 from huffwyth.oracle import EmptyClassError, OracleReport, elongated_cost, enumerate_sequences
 from huffwyth.theorems import min_k_cost, min_k_sequence
+from huffwyth.wythoff import wythoff_row
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,66 @@ def check_elongated_inequality(trace):
     elongated optimal tree.
     """
     return all(len(seq) < 4 or seq[0] + seq[1] <= seq[3] for seq in trace.sequences())
+
+
+def check_fib_row_identity(i: int, j_max: int) -> bool:
+    """Check w[F(i)][j] == F(i+j) + F(j) for j = 0..j_max.
+
+    Requires i >= 2 (rows 0 = F(0) and 1 = F(1)/F(2) do not satisfy the
+    identity) and j_max >= 0.
+    """
+    if i < 2:
+        raise ValueError(f"identity requires i >= 2, got {i}")
+    if j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    row = wythoff_row(fib(i), j_max + 1)
+    fj_prev, fj = 0, 1              # F(j), F(j+1) running pair
+    fij_prev, fij = fib(i - 1), fib(i)  # F(i+j-1), F(i+j) running pair
+    for j in range(j_max + 1):
+        if row[j] != fij + fj_prev:
+            return False
+        fj_prev, fj = fj, fj_prev + fj
+        fij_prev, fij = fij, fij_prev + fij
+    return True
+
+
+class TooLargeError(ValueError):
+    """Raised when exhaustive tree enumeration is asked for n > 10."""
+
+
+@lru_cache(maxsize=None)
+def _depth_profiles(n: int) -> tuple[tuple[int, ...], ...]:
+    """All leaf depth multisets of strictly binary trees with n leaves.
+
+    Each profile is sorted in descending order.  Profiles of a tree are the
+    union of left and right subtree profiles shifted one level down.
+    """
+    if n == 1:
+        return ((0,),)
+    found = set()
+    for left in range(1, n // 2 + 1):
+        for a in _depth_profiles(left):
+            for b in _depth_profiles(n - left):
+                found.add(tuple(sorted((d + 1 for d in a + b), reverse=True)))
+    return tuple(sorted(found))
+
+
+def optimal_tree_cost(weights) -> int:
+    """Exact minimum weighted external path length over all tree shapes.
+
+    Exhaustive over leaf depth profiles, so restricted to n <= 10.
+    """
+    seq = validate_weights(weights)
+    n = len(seq)
+    if n > 10:
+        raise TooLargeError(f"exhaustive shape enumeration is capped at n = 10, got {n}")
+    best = None
+    for profile in _depth_profiles(n):
+        # profile is descending and seq ascending, the cheapest pairing
+        cost = sum(d * w for d, w in zip(profile, seq))
+        if best is None or cost < best:
+            best = cost
+    return best
 
 
 def reference_scan(n, k, max_weight):

@@ -13,14 +13,9 @@ from huffwyth.cli import run_selftest
 from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import TiePolicy, build_tree, run_huffman, wepl
 from huffwyth.numbers import fib, lower_wythoff
-from huffwyth.oracle import brute_force_min, optimal_tree_cost
-from huffwyth.theorems import (
-    corollary_sequences,
-    min_abs_sequence,
-    min_k_cost,
-    min_k_sequence,
-)
-from huffwyth.wythoff import check_fib_row_identity
+from huffwyth.oracle import brute_force_min
+from huffwyth.theorems import corollary_sequences, min_k_cost, min_k_sequence
+from reference_huffman import check_fib_row_identity, optimal_tree_cost
 
 
 def test_criterion_1_golden_selftest(capsys):
@@ -55,7 +50,7 @@ def test_criterion_3_cost_consistency():
     start = time.perf_counter()
     checked = 0
     for n in range(3, 41):
-        assert wepl(build_tree(min_abs_sequence(n))) == fib(n + 4) - (n + 4), n
+        assert wepl(build_tree(min_k_sequence(n, None))) == fib(n + 4) - (n + 4), n
         checked += 1
         for k in range(0, n - 2):
             expected = fib(n + 3) + fib(n - k + 1) - (n - k + 3)

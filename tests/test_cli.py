@@ -158,6 +158,12 @@ def test_huffman_tie_flag_changes_marker_only(capsys):
     assert strip(out_b) == strip(out_a)
 
 
+def test_huffman_unknown_tie_is_usage_error(capsys):
+    rc, out, err = run(capsys, "huffman", "--weights", "1,2", "--tie", "sideways")
+    assert rc == 1 and out == ""
+    assert "argument --tie: invalid choice: 'sideways' (choose from 'before', 'after')" in err
+
+
 def test_huffman_custom_marker(capsys):
     rc, out, _ = run(capsys, "huffman", "--weights", "1,1,2", "--trace",
                      "--marker", "_")

@@ -13,9 +13,11 @@ from contextlib import contextmanager
 from dataclasses import fields, make_dataclass
 
 from huffwyth.cli import format_trace_csv, format_trace_table
-from huffwyth.huffman import build_tree, run_huffman, trace_from_json, trace_to_json
+from huffwyth.huffman import (NotSortedError, build_tree, run_huffman, trace_from_json,
+                              trace_to_json, validate_weights)
 from huffwyth.numbers import _from_decimal, _to_decimal, fib
-from huffwyth.oracle import OracleReport, brute_force_min, report_to_json
+from huffwyth.oracle import OracleReport, SearchSpaceTooLargeError, brute_force_min, report_to_json
+from huffwyth.theorems import KOutOfRangeError, SizeTooSmallError, min_k_cost
 
 DEFAULT_LIMIT = 4300
 BIG = fib(30000)    # 6270 digits
@@ -126,3 +128,35 @@ def test_repr_beyond_limit():
         assert repr(build_tree((1, BIG))).startswith(f"HuffmanTree(weights=(1, {big}, ")
         assert repr(run_huffman((1, BIG))).startswith(f"HuffmanTrace(initial=(1, {big}), ")
         assert f"best_sequences=((1, {big}),)" in repr(report)
+
+
+def error(call):
+    """The type and message of the exception that call() raises; None if it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_error_messages_beyond_limit():
+    # past the digit limit a call raises the type and message it raises without one
+    huge = 10 ** 5000
+    for call, kind in (
+        (lambda: validate_weights((huge, 1)), NotSortedError),
+        (lambda: min_k_cost(-huge, None), SizeTooSmallError),
+        (lambda: min_k_cost(10, huge), KOutOfRangeError),
+        (lambda: brute_force_min(4, 0, max_weight=10 ** 2000), SearchSpaceTooLargeError),
+    ):
+        with digit_limit(0):
+            expected = error(call)
+        with digit_limit(DEFAULT_LIMIT):
+            assert error(call) == expected and expected[0] is kind
+    # small ints and values of other types format as before
+    for call, message in (
+        (lambda: validate_weights((3, 1)), "weights must be non-decreasing, got 3 before 1"),
+        (lambda: validate_weights((1, "2")), "weights must be positive integers, got '2'"),
+        (lambda: min_k_cost(10, 8), "need 0 <= k <= n-3 = 7, got 8"),
+        (lambda: min_k_cost(10, -0.5), "need 0 <= k <= n-3 = 7, got -0.5"),
+        (lambda: fib(-1.5), "Fibonacci index must be nonnegative, got -1.5"),
+    ):
+        assert error(call)[1] == message

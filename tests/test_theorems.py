@@ -15,7 +15,6 @@ from huffwyth.theorems import (
     SizeTooSmallError,
     corollary_sequences,
     min_abs_cost,
-    min_abs_sequence,
     min_k_cost,
     min_k_sequence,
     min_k_sequence_fib_form,
@@ -33,9 +32,9 @@ def direct_elongated_cost(weights):
 # ------------------------------------------------------------ constructions
 
 def test_min_abs_sequence_is_fibonacci_prefix():
-    assert min_abs_sequence(10) == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
-    assert min_abs_sequence(3) == (1, 1, 2)
-    assert min_abs_sequence(12) == tuple(fib(i) for i in range(1, 13))
+    assert min_k_sequence(10, None) == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+    assert min_k_sequence(3, None) == (1, 1, 2)
+    assert min_k_sequence(12, None) == tuple(fib(i) for i in range(1, 13))
 
 
 def test_min_k_sequence_reference_rows():
@@ -60,7 +59,7 @@ def test_fib_form_agrees_with_wythoff_form():
 
 def test_sequences_are_valid_inputs():
     for n in range(3, 26):
-        assert list(min_abs_sequence(n)) == sorted(min_abs_sequence(n))
+        assert list(min_k_sequence(n, None)) == sorted(min_k_sequence(n, None))
         for k in range(0, n - 2):
             seq = min_k_sequence(n, k)
             assert len(seq) == n
@@ -92,16 +91,16 @@ def test_min_k_cost_values():
 def test_costs_match_direct_depth_sums():
     for n in range(3, 31):
         # k = None is the absolutely ordered class
-        assert min_k_sequence(n, None) == min_abs_sequence(n)
+        assert min_k_sequence(n, None) == tuple(fib(i) for i in range(1, n + 1))
         assert min_k_cost(n, None) == min_abs_cost(n)
-        assert min_abs_cost(n) == direct_elongated_cost(min_abs_sequence(n))
+        assert min_abs_cost(n) == direct_elongated_cost(min_k_sequence(n, None))
         for k in range(0, n - 2):
             assert min_k_cost(n, k) == direct_elongated_cost(min_k_sequence(n, k)), (n, k)
 
 
 def test_costs_match_built_trees():
     for n in range(3, 41):
-        assert wepl(build_tree(min_abs_sequence(n))) == min_abs_cost(n)
+        assert wepl(build_tree(min_k_sequence(n, None))) == min_abs_cost(n)
         for k in range(0, n - 2):
             assert wepl(build_tree(min_k_sequence(n, k))) == min_k_cost(n, k), (n, k)
 
@@ -126,7 +125,7 @@ def test_k_interpolates_between_classes():
 
 def test_constructed_sequences_classify_into_their_class():
     for n in range(3, 31):
-        assert classify_order(min_abs_sequence(n)) == OrderClass.absolutely_ordered()
+        assert classify_order(min_k_sequence(n, None)) == OrderClass.absolutely_ordered()
     for n in range(3, 26):
         for k in range(0, n - 2):
             assert classify_order(min_k_sequence(n, k)) == OrderClass.k_ordered(k), (n, k)
@@ -134,7 +133,7 @@ def test_constructed_sequences_classify_into_their_class():
 
 def test_constructed_sequences_build_elongated_left_sided_trees():
     for n in range(3, 26):
-        seqs = [min_abs_sequence(n)] + [min_k_sequence(n, k) for k in range(0, n - 2)]
+        seqs = [min_k_sequence(n, None)] + [min_k_sequence(n, k) for k in range(0, n - 2)]
         for seq in seqs:
             tree = build_tree(seq)
             assert is_elongated(tree), seq
@@ -181,7 +180,7 @@ def test_corollary_cost_formulas():
 def test_size_validation():
     for bad in (2, 1, 0, -5):
         with pytest.raises(SizeTooSmallError):
-            min_abs_sequence(bad)
+            min_k_sequence(bad, None)
         with pytest.raises(SizeTooSmallError):
             min_abs_cost(bad)
         with pytest.raises(SizeTooSmallError):
@@ -203,6 +202,6 @@ def test_k_validation():
 
 @given(st.integers(min_value=3, max_value=60))
 def test_random_sizes_consistent(n):
-    seq = min_abs_sequence(n)
+    seq = min_k_sequence(n, None)
     assert len(seq) == n
     assert min_abs_cost(n) == direct_elongated_cost(seq)

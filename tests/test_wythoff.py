@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from huffwyth.numbers import fib, lower_wythoff, lucas
-from huffwyth.wythoff import check_fib_row_identity, wythoff_entry, wythoff_row
+from huffwyth.wythoff import wythoff_entry, wythoff_row
+from reference_huffman import check_fib_row_identity
 
 # first 14 rows, columns 0..12
 REFERENCE_ROWS = (

@@ -15,69 +15,15 @@ The package ties together three strands:
 All arithmetic is exact; no floats appear anywhere.
 """
 
-from .numbers import fib, lower_wythoff, lucas
-from .wythoff import wythoff_entry, wythoff_row
-from .huffman import (
-    DEFAULT_TIE_POLICY,
-    EmptySequenceError,
-    HuffmanTrace,
-    HuffmanTree,
-    NotSortedError,
-    OrderClass,
-    OrderKind,
-    TiePolicy,
-    TooShortError,
-    build_tree,
-    classify_order,
-    classify_trace,
-    codebook,
-    is_elongated,
-    leaf_depths,
-    leaf_weights,
-    run_huffman,
-    trace_from_json,
-    trace_to_json,
-    validate_weights,
-    wepl,
-)
-from .theorems import (
-    KOutOfRangeError,
-    SizeTooSmallError,
-    corollary_sequences,
-    min_abs_cost,
-    min_k_cost,
-    min_k_sequence,
-    min_k_sequence_fib_form,
-)
-from .oracle import (
-    EmptyClassError,
-    OracleReport,
-    SearchSpaceTooLargeError,
-    brute_force_min,
-    brute_force_min_abs,
-    count_sequences,
-    elongated_cost,
-    enumerate_sequences,
-    report_to_json,
-)
+from . import huffman, numbers, oracle, theorems, wythoff
+from .numbers import *
+from .wythoff import *
+from .huffman import *
+from .theorems import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "fib", "lucas", "lower_wythoff",
-    "wythoff_entry", "wythoff_row",
-    "TiePolicy", "DEFAULT_TIE_POLICY", "HuffmanTrace", "HuffmanTree",
-    "OrderKind", "OrderClass",
-    "EmptySequenceError", "NotSortedError", "TooShortError",
-    "validate_weights", "run_huffman", "build_tree",
-    "leaf_weights", "leaf_depths", "wepl", "codebook",
-    "is_elongated", "classify_order", "classify_trace",
-    "trace_to_json", "trace_from_json",
-    "SizeTooSmallError", "KOutOfRangeError",
-    "min_abs_cost", "min_k_sequence", "min_k_sequence_fib_form",
-    "min_k_cost", "corollary_sequences",
-    "SearchSpaceTooLargeError", "EmptyClassError", "OracleReport",
-    "enumerate_sequences", "count_sequences", "elongated_cost",
-    "brute_force_min", "brute_force_min_abs", "report_to_json",
-    "__version__",
-]
+# The public API is each layer's __all__; the package names none itself.
+__all__ = [name for layer in (numbers, wythoff, huffman, theorems, oracle)
+           for name in layer.__all__] + ["__version__"]

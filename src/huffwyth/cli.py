@@ -3,6 +3,10 @@
 Subcommands: fib, lucas, wythoff, minseq, cost, huffman, classify, verify,
 selftest.  Exit codes: 0 on success, 1 on usage or input errors, 2 when a
 verification (verify, selftest) finds a mismatch.
+
+Every int the commands print or parse, flag values and weights included,
+goes through numbers._to_decimal and _from_decimal, so values of any length
+work without changing the interpreter's int/str digit limit.
 """
 
 import argparse
@@ -13,7 +17,7 @@ from importlib import resources
 from itertools import chain
 
 from . import golden, huffman, oracle, theorems, wythoff
-from .numbers import _to_decimal, fib, lucas
+from .numbers import _from_decimal, _to_decimal, fib, lucas
 
 __all__ = ["main", "entrypoint"]
 
@@ -29,11 +33,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    return _from_decimal(text)
+
+
+_int.__name__ = "int"   # argparse names the type in "invalid int value: 'abc'"
+
+
 def parse_weights(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of positive integers."""
     try:
-        # int("") raises too, so an empty part is malformed
-        return tuple(int(p.strip()) for p in text.split(","))
+        # _from_decimal("") raises too, so an empty part is malformed
+        return tuple(_from_decimal(p.strip()) for p in text.split(","))
     except ValueError:
         raise UsageError(f"malformed weight list: {text!r}") from None
 
@@ -59,26 +70,21 @@ def format_trace_table(trace, marker: str = MARKER) -> str:
 
 
 def _csv_chunks(trace):
-    """Yield format_trace_csv's text, one row at a time."""
+    """Yield a trace's CSV rows: step, merged, pos, weights.
+
+    No field needs quoting: each is an int, empty, or digits joined by
+    spaces.
+    """
     rows = trace.text_rows()
     yield "step,merged,pos,weights\n0,,," + " ".join(next(rows)) + "\n"
     for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
         yield f"{i},{row[pos - 1]},{pos}," + " ".join(row) + "\n"
 
 
-def format_trace_csv(trace) -> str:
-    """Render a trace as CSV rows: step, merged, pos, weights.
-
-    No field needs quoting: each is an int, empty, or digits joined by
-    spaces.
-    """
-    return "".join(_csv_chunks(trace))
-
-
 def format_tree(tree) -> str:
     """Render a tree as indented lines: '+' internal nodes, '-' leaves."""
     n = tree.size
-    lines = [f"{'  ' * depth}{'-' if v < n else '+'} {tree.weights[v]}"
+    lines = [f"{'  ' * depth}{'-' if v < n else '+'} {_to_decimal(tree.weights[v])}"
              for v, depth in tree.preorder()]
     return "\n".join(lines) + "\n"
 
@@ -88,7 +94,7 @@ def format_codebook(tree) -> str:
     weights = huffman.leaf_weights(tree)
     lines = []
     for (idx, code), w in zip(huffman.codebook(tree), weights):
-        lines.append(f"{idx} {w} {code if code else '-'}")
+        lines.append(f"{idx} {_to_decimal(w)} {code if code else '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -134,7 +140,7 @@ def run_selftest(out) -> int:
 def _add_class(p) -> None:
     """Add the required --k/--abs choice; --abs leaves args.k None."""
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int)
+    group.add_argument("--k", type=_int)
     group.add_argument("--abs", action="store_true")
 
 
@@ -143,14 +149,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fib", help="print a Fibonacci number")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     p = sub.add_parser("lucas", help="print a Lucas number")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     p = sub.add_parser("wythoff", help="print a row of the Wythoff array")
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p.add_argument("--row", type=_int, required=True)
+    p.add_argument("--cols", type=_int, required=True)
     p.add_argument(
         "--generalized", action="store_true",
         help="start at column 0 (row index and lower Wythoff seed) "
@@ -158,11 +164,11 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("minseq", help="print a minimizing sequence and its cost")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_class(p)
 
     p = sub.add_parser("cost", help="print only the closed-form cost")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_class(p)
 
     p = sub.add_parser("huffman", help="run the merge process on given weights")
@@ -182,10 +188,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--sort", action="store_true")
 
     p = sub.add_parser("verify", help="brute-force check a closed-form minimum")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_class(p)
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_CANDIDATE_LIMIT)
+    p.add_argument("--max-weight", type=_int, default=None)
+    p.add_argument("--limit", type=_int, default=oracle.DEFAULT_CANDIDATE_LIMIT)
 
     sub.add_parser("selftest", help="recompute the reference examples")
     return parser
@@ -213,31 +219,11 @@ def _cmd_huffman(args) -> int:
         if args.codebook:
             print(format_codebook(tree), end="")
     if not (args.trace or args.tree or args.codebook):
-        print(trace.total)
+        print(_to_decimal(trace.total))
     return 0
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Since 3.11 (and 3.10.7) Python refuses to convert ints of more than
-    # 4300 digits to or from text by default; exact values such as
-    # fib --n 30000 exceed that.  The trace and report renderers convert
-    # through numbers._to_decimal and need no lift, but the commands' own
-    # prints, parse_weights and the tree and codebook renderers use str()
-    # and int().  The limit is restored for in-process callers.
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
-        return _main(argv)
-    saved = limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -246,21 +232,21 @@ def _main(argv) -> int:
         return 1
     try:
         if args.command == "fib":
-            print(fib(args.n))
+            print(_to_decimal(fib(args.n)))
         elif args.command == "lucas":
-            print(lucas(args.n))
+            print(_to_decimal(lucas(args.n)))
         elif args.command == "wythoff":
             if args.cols < 1:
                 raise UsageError(f"--cols must be >= 1, got {_to_decimal(args.cols)}")
             start = 0 if args.generalized else 2
             row = wythoff.wythoff_row(args.row, start + args.cols)
-            print(" ".join(str(v) for v in row[start:]))
+            print(" ".join(map(_to_decimal, row[start:])))
         elif args.command == "minseq":
             seq, cost = theorems.min_k_sequence(args.n, args.k), theorems.min_k_cost(args.n, args.k)
-            print(",".join(str(w) for w in seq))
-            print(f"cost {cost}")
+            print(",".join(map(_to_decimal, seq)))
+            print(f"cost {_to_decimal(cost)}")
         elif args.command == "cost":
-            print(theorems.min_k_cost(args.n, args.k))
+            print(_to_decimal(theorems.min_k_cost(args.n, args.k)))
         elif args.command == "huffman":
             return _cmd_huffman(args)
         elif args.command == "classify":

@@ -427,15 +427,21 @@ class OrderClass:
         return cls(OrderKind.UNORDERED)
 
     def tie_flags(self, n: int) -> list[bool]:
-        """The flags p2(i) == p3(i), i = 0..n-3, of every size-n member of this class."""
+        """The flags p2(i) == p3(i), i = 0..n-3, of every size-n member of this class.
+
+        Raises ValueError when the class has no size-n members: n < 3, or
+        k > n-3 for a k-ordered class.
+        """
         if self.kind is OrderKind.UNORDERED:
             raise ValueError("unordered sequences share no single tie pattern")
         lead = 0 if self.kind is OrderKind.ABSOLUTELY_ORDERED else self.k + 1
+        if n < 3 or lead > n - 2:
+            raise ValueError(f"the {self} class has no members of size {_to_decimal(n)}")
         return [True] * lead + [False] * (n - 2 - lead)
 
     def __str__(self) -> str:
         if self.kind is OrderKind.K_ORDERED:
-            return f"{self.k}-ordered"
+            return f"{_to_decimal(self.k)}-ordered"
         return self.kind.value
 
 

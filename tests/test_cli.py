@@ -40,7 +40,7 @@ def test_fib_beyond_int_string_limit(capsys):
     assert digits[-18:] == f"{a:018d}"
     assert len(digits) == 6270
     assert 10 ** 6269 <= fib(30000) < 10 ** 6270
-    assert limit() == saved     # main() restores the caller's limit
+    assert limit() == saved     # main() leaves the caller's limit alone
 
 
 def test_fib_negative_is_input_error(capsys):

@@ -6,17 +6,20 @@ pytest features, so they also run as plain functions on interpreters
 without pytest.
 """
 
+import io
 import json
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import fields, make_dataclass
 
-from huffwyth.cli import format_trace_csv, format_trace_table
+from huffwyth import cli
+from huffwyth.cli import _csv_chunks, format_trace_table
 from huffwyth.huffman import (NotSortedError, build_tree, run_huffman, trace_from_json,
                               trace_to_json, validate_weights)
 from huffwyth.numbers import _from_decimal, _to_decimal, fib
 from huffwyth.oracle import OracleReport, SearchSpaceTooLargeError, brute_force_min, report_to_json
+from huffwyth.wythoff import wythoff_row
 from huffwyth.theorems import KOutOfRangeError, SizeTooSmallError, min_k_cost
 
 DEFAULT_LIMIT = 4300
@@ -84,7 +87,7 @@ def test_trace_json_and_renderers_beyond_limit():
         assert json.loads(text)["total"] == total
         assert trace_from_json(text) == trace
         assert format_trace_table(trace).endswith(f"   1 | {total}\n")
-        assert format_trace_csv(trace).endswith(f"1,{total},1,{total}\n")
+        assert "".join(_csv_chunks(trace)).endswith(f"1,{total},1,{total}\n")
 
 
 def test_report_to_json_beyond_limit():
@@ -160,3 +163,49 @@ def test_error_messages_beyond_limit():
         (lambda: fib(-1.5), "Fibonacci index must be nonnegative, got -1.5"),
     ):
         assert error(call)[1] == message
+
+
+@contextmanager
+def limit_frozen():
+    """Make any call of sys.set_int_max_str_digits fail."""
+    if not hasattr(sys, "set_int_max_str_digits"):    # interpreter without the limit
+        yield
+        return
+
+    def refuse(limit):
+        raise AssertionError("the int/str digit limit was changed")
+
+    saved = sys.set_int_max_str_digits
+    sys.set_int_max_str_digits = refuse
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits = saved
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cli_beyond_limit_leaves_the_limit_alone():
+    big = unlimited_str(BIG)
+    row = " ".join(map(unlimited_str, wythoff_row(BIG, 5)[2:]))
+    report = report_to_json(brute_force_min(5, 0, 8), indent=2)
+    expected = {
+        ("fib", "--n", "30000"): big + "\n",
+        ("huffman", "--weights", "1," + big): unlimited_str(BIG + 1) + "\n",
+        ("huffman", "--weights", "1," + big, "--tree"):
+            f"+ {unlimited_str(BIG + 1)}\n  - 1\n  - {big}\n",
+        ("huffman", "--weights", "1," + big, "--codebook"): f"0 1 0\n1 {big} 1\n",
+        ("wythoff", "--row", big, "--cols", "3"): row + "\n",
+        ("verify", "--n", "5", "--k", "0", "--max-weight", "8", "--limit", big): report + "\n",
+    }
+    for limit in (640, DEFAULT_LIMIT):
+        with digit_limit(limit), limit_frozen():
+            for argv, out in expected.items():
+                assert run_cli(*argv) == (0, out, ""), argv[:2]
+            rc, out, err = run_cli("fib", "--n", "abc")
+            assert (rc, out) == (1, "") and "invalid int value: 'abc'" in err

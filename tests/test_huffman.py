@@ -373,8 +373,14 @@ def test_tie_flags_are_the_class_pattern():
         trace = run_huffman(ex.weights)
         assert list(trace.ties) == classify_trace(trace).tie_flags(ex.n)
     assert OrderClass.k_ordered(1).tie_flags(5) == [True, True, False]
+    assert OrderClass.k_ordered(2).tie_flags(5) == [True, True, True]
     with pytest.raises(ValueError):
         OrderClass.unordered().tie_flags(5)
+    # no members of that size: n < 3, or k > n-3
+    for target, n in ((OrderClass.k_ordered(5), 3), (OrderClass.k_ordered(0), 2),
+                      (OrderClass.absolutely_ordered(), 2)):
+        with pytest.raises(ValueError):
+            target.tie_flags(n)
 
 
 @st.composite

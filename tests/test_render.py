@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from huffwyth import cli, huffman
-from huffwyth.cli import format_trace_csv, format_trace_table
+from huffwyth.cli import _csv_chunks, format_trace_table
 from huffwyth.huffman import HuffmanTrace, TiePolicy, run_huffman, trace_to_json
 from huffwyth.theorems import min_k_sequence
 from reference_huffman import reference_csv, reference_json, reference_table
@@ -17,7 +17,7 @@ render_weights = st.one_of(
 
 def assert_renders_like_reference(trace, marker, indent):
     assert format_trace_table(trace, marker) == reference_table(trace, marker)
-    assert format_trace_csv(trace) == reference_csv(trace)
+    assert "".join(_csv_chunks(trace)) == reference_csv(trace)
     assert trace_to_json(trace, indent) == reference_json(trace, indent)
 
 
@@ -49,7 +49,7 @@ def test_rendering_builds_no_int_rows(monkeypatch):
     monkeypatch.setattr(HuffmanTrace, "_rows", property(no_rows))
     trace = run_huffman(min_k_sequence(400, 7))
     assert format_trace_table(trace).count("\n") == 401
-    assert format_trace_csv(trace).count("\n") == 401
+    assert "".join(_csv_chunks(trace)).count("\n") == 401
     assert trace_to_json(trace, indent=2).startswith("{")
 
 
@@ -64,10 +64,9 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("tie", ["before", "after"])
 def test_cli_streams_the_library_text(weights, tie, capsys, monkeypatch):
     trace = run_huffman(weights, TiePolicy(tie))
-    want = {"json": trace_to_json(trace, 2) + "\n", "csv": format_trace_csv(trace),
+    want = {"json": trace_to_json(trace, 2) + "\n", "csv": "".join(_csv_chunks(trace)),
             "table": format_trace_table(trace)}
     monkeypatch.setattr(huffman, "trace_to_json", _refuse)
-    monkeypatch.setattr(cli, "format_trace_csv", _refuse)
     monkeypatch.setattr(cli, "format_trace_table", _refuse)
     argv = ["huffman", "--weights", ",".join(map(str, weights)), "--tie", tie, "--trace"]
     for fmt, text in want.items():

@@ -81,11 +81,6 @@ def test_fibonacci_rule_random(i, j):
     assert wythoff_entry(i, j) == wythoff_entry(i, j - 1) + wythoff_entry(i, j - 2)
 
 
-def test_fib_row_identity_range():
-    for i in range(2, 16):
-        assert check_fib_row_identity(i, 20)
-
-
 def test_fib_row_identity_direct():
     # w[F(i)][j] == F(i+j) + F(j), spot checks straight from the definition
     assert wythoff_entry(fib(5), 3) == fib(8) + fib(3)

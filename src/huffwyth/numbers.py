@@ -88,20 +88,20 @@ def _to_decimal(x) -> str:
 
 
 def _from_decimal(text) -> int:
-    """Return int(text) for decimal text of any length, whatever the digit limit.
+    """Return the int spelled by decimal text of any length, whatever the digit limit.
 
-    Text of more than 512 characters must be ASCII digits with an optional
-    sign and surrounding whitespace; shorter text and non-str values go to
-    int() unchanged.
+    The text must be ASCII digits with an optional sign and surrounding
+    whitespace, at every length: int() alone would also take underscores
+    and non-ASCII digits.  A non-str value raises ValueError too.
     """
-    if not isinstance(text, str) or len(text) <= _PIECE_DIGITS:
-        return int(text)
+    if not isinstance(text, str):
+        raise ValueError(f"expected decimal text, got {type(text).__name__}")
     body = text.strip()
     sign = -1 if body[:1] == "-" else 1
     if body[:1] in ("+", "-"):
         body = body[1:]
     if not (body.isascii() and body.isdigit()):
-        raise ValueError(f"invalid decimal literal of {len(text)} characters: {text[:20]!r}...")
+        raise ValueError(f"invalid decimal literal of {len(text)} characters: {text[:20]!r}")
     if len(body) <= _PIECE_DIGITS:
         return sign * int(body)
     k = len(body) // 2

@@ -10,11 +10,11 @@ import time
 from itertools import combinations_with_replacement
 
 from huffwyth.cli import run_selftest
-from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import TiePolicy, build_tree, run_huffman, wepl
 from huffwyth.numbers import fib, lower_wythoff
 from huffwyth.oracle import brute_force_min
 from huffwyth.theorems import corollary_sequences, min_k_cost, min_k_sequence
+from fixture_tables import STEMS, fixture_rows
 from reference_huffman import check_fib_row_identity, optimal_tree_cost
 
 
@@ -24,10 +24,11 @@ def test_criterion_1_golden_selftest(capsys):
     rc = run_selftest(lines.append)
     elapsed = time.perf_counter() - start
     assert rc == 0, "\n".join(lines)
-    totals = [ex.total for ex in GOLDEN_EXAMPLES]
+    tables = [fixture_rows(stem) for stem in STEMS]
+    totals = [rows[-1][0] for rows in tables]
     assert totals == [143, 122, 109, 93, 89]
-    for ex in GOLDEN_EXAMPLES:
-        assert tuple(run_huffman(ex.weights).sequences()) == ex.rows
+    for rows in tables:
+        assert tuple(run_huffman(rows[0]).sequences()) == rows
     assert elapsed < 1.0, f"selftest took {elapsed:.3f}s"
     print(f"PASS criterion 1: selftest reproduces all five step tables "
           f"(totals 143 122 109 93 89) in {elapsed:.3f}s")

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 from huffwyth import cli, oracle
 from huffwyth.numbers import fib
-from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import run_huffman, trace_from_json
+from fixture_tables import fixture_rows
 
 
 def run(capsys, *argv):
@@ -46,6 +47,15 @@ def test_fib_beyond_int_string_limit(capsys):
 def test_fib_negative_is_input_error(capsys):
     rc, _, err = run(capsys, "fib", "--n", "-2")
     assert rc == 1 and "error" in err
+
+
+def test_int_flags_take_only_ascii_digits(capsys):
+    for text in ("1_0", "\u0661\u0660"):
+        rc, out, err = run(capsys, "fib", "--n", text)
+        assert (rc, out) == (1, ""), text
+        assert f"invalid int value: {text!r}" in err
+    rc, out, err = run(capsys, "huffman", "--weights", "1_0,2_0")
+    assert (rc, out) == (1, "") and "malformed weight list" in err
 
 
 def test_wythoff_classical(capsys):
@@ -121,11 +131,10 @@ def test_huffman_malformed_weights(capsys):
 
 
 def test_huffman_trace_table_matches_fixture(capsys):
-    ex = GOLDEN_EXAMPLES[0]
-    rc, out, _ = run(capsys, "huffman", "--weights",
-                     ",".join(str(w) for w in ex.weights), "--trace")
+    weights = fixture_rows("example1")[0]
+    rc, out, _ = run(capsys, "huffman", "--weights", ",".join(map(str, weights)), "--trace")
     assert rc == 0
-    assert out == cli._fixture_text(ex.name)
+    assert out == cli._fixture_text("example1")
 
 
 def test_huffman_trace_json_round_trip(capsys):
@@ -267,11 +276,50 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
 def test_selftest(capsys):
     rc, out, _ = run(capsys, "selftest")
     assert rc == 0
+    assert out.splitlines() == [
+        "example1 (absolutely ordered, n=10): ok, total 143",
+        "example2 (0-ordered, n=10): ok, total 122",
+        "example3 (1-ordered, n=10): ok, total 109",
+        "example4 (4-ordered, n=10): ok, total 93",
+        "example5 (7-ordered, n=10): ok, total 89",
+        "selftest: ok",
+    ]
+
+
+def test_selftest_reports_an_edited_fixture(capsys, monkeypatch):
+    shipped = cli._fixture_text
+
+    def edited(stem):
+        text = shipped(stem)
+        return text.replace("   0 | 1 1 1 2 4", "   0 | 1 1 1 3 4") if stem == "example3" else text
+
+    assert edited("example3") != shipped("example3")
+    monkeypatch.setattr(cli, "_fixture_text", edited)
+    rc, out, _ = run(capsys, "selftest")
     lines = out.splitlines()
-    assert len(lines) == 6
-    for ex, line in zip(GOLDEN_EXAMPLES, lines):
-        assert line.startswith(f"{ex.name} ({ex.title}): ok, total {ex.total}")
-    assert lines[-1] == "selftest: ok"
+    assert rc == 2
+    assert "example3 (1-ordered, n=10): FAIL" in lines
+    assert lines.index("--- example3.txt") + 1 == lines.index("+++ computed")
+    assert "-   0 | 1 1 1 3 4 6 10 16 26 42" in lines
+    assert "+   0 | 1 1 1 2 4 6 10 16 26 42" in lines
+    assert sum(": ok, total " in line for line in lines) == 4
+    assert lines[-1] == "selftest: 1 example(s) FAILED"
+
+
+def test_selftest_checks_every_shipped_fixture():
+    fixtures = (resources.files("huffwyth") / "fixtures").iterdir()
+    shipped = {f.name.removesuffix(".txt") for f in fixtures if f.name.endswith(".txt")}
+    assert shipped == {stem for stem, _, _ in cli._EXAMPLES}
+
+
+def test_import_loads_neither_difflib_nor_golden():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, huffwyth.cli; "
+            "print(sorted({'difflib', 'huffwyth.golden'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------ parser behaviour

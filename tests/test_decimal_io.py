@@ -67,16 +67,18 @@ def test_decimal_helpers_round_trip_under_any_limit():
                 assert x < 0 or _from_decimal("+" + text) == x
 
 
-def test_from_decimal_rejects_what_int_rejects():
+def test_from_decimal_takes_only_ascii_digits_at_every_length():
+    # int() alone would take "1_0", "١٢" and " 1_0 "; 12 is not text
     long_digits = "7" * 5000
     for bad in ("", "-", "12a", long_digits + "a", "--" + long_digits, "+-" + long_digits,
-                " " * 600, long_digits[:2500] + " " + long_digits[:2500], "١" * 600):
+                " " * 600, long_digits[:2500] + " " + long_digits[:2500], "١" * 600,
+                "1_0", "١٢", " 1_0 ", 12):
         with digit_limit(DEFAULT_LIMIT):
             try:
                 _from_decimal(bad)
             except ValueError:
                 continue
-        raise AssertionError(f"accepted {bad[:30]!r}")
+        raise AssertionError(f"accepted {str(bad)[:30]!r}")
 
 
 def test_trace_json_and_renderers_beyond_limit():

@@ -5,7 +5,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huffwyth.golden import GOLDEN_EXAMPLES
 from huffwyth.huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
@@ -30,6 +29,7 @@ from huffwyth.huffman import (
     _merge,
 )
 from huffwyth.theorems import min_k_sequence
+from fixture_tables import STEMS, fixture_rows
 from reference_huffman import (
     check_elongated_inequality,
     is_left_sided,
@@ -77,7 +77,7 @@ def test_trace_pair():
 def test_trace_fibonacci_example():
     trace = run_huffman(FIB10)
     assert trace.total == 143
-    assert tuple(trace.sequences()) == GOLDEN_EXAMPLES[0].rows
+    assert tuple(trace.sequences()) == fixture_rows("example1")
     assert trace.merged_values() == [2, 4, 7, 12, 20, 33, 54, 88, 143]
 
 
@@ -369,9 +369,10 @@ def test_classify_policy_independent():
 
 
 def test_tie_flags_are_the_class_pattern():
-    for ex in GOLDEN_EXAMPLES:
-        trace = run_huffman(ex.weights)
-        assert list(trace.ties) == classify_trace(trace).tie_flags(ex.n)
+    for stem in STEMS:
+        weights = fixture_rows(stem)[0]
+        trace = run_huffman(weights)
+        assert list(trace.ties) == classify_trace(trace).tie_flags(len(weights))
     assert OrderClass.k_ordered(1).tie_flags(5) == [True, True, False]
     assert OrderClass.k_ordered(2).tie_flags(5) == [True, True, True]
     with pytest.raises(ValueError):

@@ -9,6 +9,10 @@ fixtures/, the only copy of those examples in the package.
 Every int the commands print or parse, flag values and weights included,
 goes through numbers._to_decimal and _from_decimal, so values of any length
 work without changing the interpreter's int/str digit limit.
+
+fib, lucas, cost, minseq and wythoff check the size of what they would
+print before any work starts, and exit 1 past _MAX_DIGITS digits in one
+number or _MAX_OUTPUT characters in all.  The library has no such limits.
 """
 
 import argparse
@@ -23,6 +27,11 @@ from .numbers import _from_decimal, _to_decimal, fib, lucas
 __all__ = ["main", "entrypoint"]
 
 MARKER = "*"
+
+# Making the text of one number costs about the square of its length, so
+# these keep each command near a second.
+_MAX_DIGITS = 200_000            # in any one printed number
+_MAX_OUTPUT = 20_000_000         # characters printed in all
 
 
 class UsageError(Exception):
@@ -202,6 +211,53 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fib_bits(i: int) -> int:
+    """An upper bound on the bit length of F(i): F(i) <= phi**(i-1) and log2(phi) < 0.7."""
+    return 7 * i // 10 + 2
+
+
+def _fib_bits_sum(m: int) -> int:
+    """An upper bound on the sum of _fib_bits(i) for i = 1..m."""
+    return 7 * m * (m + 1) // 20 + 2 * m
+
+
+def _output_bits(args):
+    """Upper bounds on what a command prints, from its flags alone.
+
+    Returns (bits of the largest number, bits of all numbers, how many
+    numbers), all 0 for a command whose output its input bounds.  A
+    negative size counts as 0; the command itself then rejects it.
+    """
+    if args.command in ("fib", "lucas", "cost"):
+        # L(n) <= F(n+2), and either class's cost is below F(n+4)
+        bits = _fib_bits(max(args.n, 0) + {"fib": 0, "lucas": 2, "cost": 4}[args.command])
+        return bits, bits, 1
+    if args.command == "minseq":
+        # p(i) <= F(i) in every class
+        n = max(args.n, 0)
+        return _fib_bits(n + 4), _fib_bits_sum(n) + _fib_bits(n + 4), n + 1
+    if args.command == "wythoff":
+        # w[i][j] = F(j-1) i + F(j) floor((i+1) phi) <= F(j+2) (i+1), for columns j < length
+        length = max(args.cols, 0) + (0 if args.generalized else 2)
+        row = (abs(args.row) + 1).bit_length()
+        return _fib_bits(length + 1) + row, _fib_bits_sum(length + 1) + length * row, length
+    return 0, 0, 0
+
+
+def _check_size(args) -> None:
+    """Raise UsageError when a command would print past _MAX_DIGITS or _MAX_OUTPUT."""
+    largest, total, count = _output_bits(args)
+    # a number of b bits has at most b * log10(2) + 1 digits, log10(2) < 0.30103
+    digits = largest * 30103 // 100000 + 1
+    if digits > _MAX_DIGITS:
+        raise UsageError(f"{args.command} would print a number of up to {_to_decimal(digits)} "
+                         f"digits; the limit is {_MAX_DIGITS} digits per number")
+    chars = total * 30103 // 100000 + 2 * count    # a digit and a separator more per number
+    if chars > _MAX_OUTPUT:
+        raise UsageError(f"{args.command} would print up to {_to_decimal(chars)} characters; "
+                         f"the limit is {_MAX_OUTPUT} characters in all")
+
+
 def _cmd_huffman(args) -> int:
     weights = parse_weights(args.weights)
     if args.sort:
@@ -236,6 +292,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        _check_size(args)
         if args.command == "fib":
             print(_to_decimal(fib(args.n)))
         elif args.command == "lucas":

@@ -6,27 +6,25 @@ remainder; after n-1 steps a single value remains, the sum of all weights.
 The i-th step consumes the sequence P(i-1) and produces P(i), with P(0) the
 input.
 
-Engine.  One two-queue merge (van Leeuwen, "On the construction of Huffman
-trees", ICALP 1976) serves the trace, the tree, classification and the
-oracle.  Merged sums come out non-decreasing, so P(i) is always the union of
-two sorted queues: the leaves not yet consumed, behind a pointer into the
-input, and the merged values not yet consumed.  Each step takes the two
-smaller queue heads, reads p3 off the heads that remain, and finds the
-merged value's insert position by bisect on both queues: O(n log n)
-comparisons in all.  The rows P(i) themselves take O(n^2) space, so a trace
-stores only merged values, positions and tie flags, and rebuilds the rows
-when a caller first asks for them.
+Engine.  One two-queue loop (van Leeuwen, "On the construction of Huffman
+trees", ICALP 1976) computes the merged values and tie flags, and nothing
+else.  Merged sums come out non-decreasing, so P(i) is always the union of
+two sorted queues: the leaves not yet consumed and the merged values not
+yet consumed.  Each step takes the two smaller queue heads and reads
+p2 == p3 off the heads that remain: O(n) in all.  A trace's insert
+positions and a tree's picks are derived from the values afterwards, by
+C-level sorting and bisecting (see Ties and Trees), each only where needed.
+The rows P(i) take O(n^2) space, so a trace stores only merged values,
+positions and tie flags, and rebuilds the rows on first request.
 
 Rendering.  The table, CSV and JSON renderers never build the int rows.
-They convert each initial and merged value to decimal text once, 2n-1
-conversions in all, and replay the rows over those strings with the same
-replay that rebuilds the int rows.  JSON is written directly, not by the
-json module: every field is a digit string or an int, so nothing needs
-escaping, and the text is byte-identical to json.dumps of the same
-document at every indent.  Each renderer yields its text a row at a time,
-and the command line writes every format to stdout row by row.  The
-conversions go through numbers._to_decimal, so values of any length render
-on every supported interpreter without lifting its int/str digit limit.
+They convert each of the 2n-1 values to decimal text once, through
+numbers._to_decimal, so values of any length render without lifting the
+int/str digit limit, and replay the rows over those strings.  JSON is
+written directly, not by the json module: every field is a digit string or
+an int, so nothing needs escaping, and the text is byte-identical to
+json.dumps of the same document at every indent.  Each renderer yields its
+text a row at a time, and the command line streams every format.
 
 Ties.  When the merged sum equals an existing entry the insertion point is
 ambiguous and a TiePolicy resolves it:
@@ -37,22 +35,34 @@ ambiguous and a TiePolicy resolves it:
 In queue terms, MERGED_BEFORE_EQUALS takes a merged node ahead of an equal
 leaf and consumes each block of equal merged values newest first (LIFO);
 MERGED_AFTER_EQUALS takes the leaf first and the block oldest first (FIFO).
-Both policies produce the same intermediate value sequences and the same
-weighted external path length; only which node later merges consume differs,
-hence the tree shape.  Placing the merged node before its equals consumes
-composite nodes as early as possible and grows the tallest tree the input
-admits, so inputs whose optimal tree can be elongated (every sibling pair
-contains a leaf) actually come out elongated.  That makes
-MERGED_BEFORE_EQUALS the default.
+Both policies produce the same values, tie flags and weighted external path
+length; only which node later merges consume differs, hence the tree shape.
+Placing the merged node before its equals consumes composite nodes as early
+as possible and grows the tallest tree the input admits, so inputs whose
+optimal tree can be elongated (every sibling pair contains a leaf) actually
+come out elongated.  That makes MERGED_BEFORE_EQUALS the default.
 
-Trees.  A HuffmanTree is three flat tuples over 2n-1 node indices, read
-straight off the engine's picks: leaf i < n is input weight i, and internal
-node n+q, made by step q+1, has the child indices left[q] and right[q].  A
-child's index is always below its parent's, so one reverse pass gives every
-depth, and the left-to-right walks keep an explicit stack.  The tree takes
-O(n) space, and no tree operation recurses, at any height.  When a merge
-pairs a leaf with a subtree, the leaf becomes the right child; a chain of
-such merges therefore grows a left-sided tree, one where the right node of
+Every merged value M = merged[q] exceeds both of its parts, as weights are
+at least 1, so the 2q+2 entries consumed by steps 1..q+1 are all below M,
+and every later merged value is at least M.  M's 1-based position in P(q+1) is
+bisect_left(sorted(values), M) - 2q - 1 under MERGED_BEFORE_EQUALS and
+bisect_right(initial, M) - q - 1 under MERGED_AFTER_EQUALS, where values
+holds the input and every merged value.
+
+Trees.  A HuffmanTree is three flat tuples over 2n-1 node indices: leaf
+i < n is input weight i, and internal node n+q, made by step q+1, has the
+child indices left[q] and right[q].  Sorting the node indices stably by
+value lists the nodes in the order the steps consume them, two a step, when
+the list holds the merged nodes newest first and then the leaves
+(MERGED_BEFORE_EQUALS), or the leaves and then the merged nodes oldest
+first (MERGED_AFTER_EQUALS).  No node is due before it exists, and a block
+of equal merged values is complete when first reached, as a later merge
+sums two entries of at least its value.  The list is two sorted runs, so
+the sort is one merge pass.  A child's index is always below its parent's,
+so one reverse pass gives every depth, and the walks keep an explicit
+stack: no tree operation recurses, at any height.  When a merge pairs a
+leaf with a subtree, the leaf becomes the right child; a chain of such
+merges therefore grows a left-sided tree, one where the right node of
 every sibling pair is a leaf.
 
 Order classes.  With p2(i), p3(i) the second and third entries of P(i):
@@ -65,7 +75,6 @@ The classification only involves the value sequences, so it is independent
 of the tie policy.
 """
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -139,53 +148,33 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
-def _merge(seq, before, pattern=None):
-    """Run the two-queue merge on a validated sorted tuple.
+def _values(seq, pattern=None):
+    """Run the two-queue loop on a validated sorted tuple.
 
-    Returns (merged, positions, ties, picks): the merged value of each step,
-    its 1-based insert position in the step output, the flags
-    p2(i) == p3(i) for the rows i = 0..n-3, and the two nodes each step
-    consumes, in queue order.  A pick below n is a leaf index; n + q is the
-    node made by step q+1.  `before` selects MERGED_BEFORE_EQUALS.
-
-    With a pattern of n-2 expected tie flags, the run stops and returns None
-    at the first row t whose flag differs from pattern[t]; a run that
-    matches every row returns the same four lists as without a pattern.
+    Returns (merged, ties): each step's merged value and the flags
+    p2(i) == p3(i), i = 0..n-3.  Given a pattern of n-2 expected flags, it
+    returns None at the first row whose flag differs from the pattern's.
     """
     n = len(seq)
-    merged, positions, ties, picks = [], [], [], []
-    i = j = 0           # heads of the leaf queue seq[i:] and the merged queue merged[j:]
-    end = mirror = 0    # `before`: the equal-value block of merged[] being consumed ends at end
+    merged, ties = [], []
+    i = j = 0           # heads of the leaf queue seq[i:] and the merged queue merged[j:q]
     for q in range(n - 1):
-        total = 0
-        for _ in (0, 1):
-            if j < len(merged) and (i == n or merged[j] < seq[i] or before and merged[j] == seq[i]):
-                if before and j == end:
-                    # A block is complete when first reached: a later merge
-                    # sums two entries of at least its value.
-                    end = bisect_right(merged, merged[j], j)
-                    mirror = j + end - 1
-                last = merged[j]
-                picks.append(n + (mirror - j if before else j))
-                j += 1
-            else:
-                last = seq[i]
-                picks.append(i)
-                i += 1
-            total += last
-        if i < n:
-            ties.append(last == (seq[i] if j == len(merged) or seq[i] < merged[j] else merged[j]))
-        elif j < len(merged):
-            ties.append(last == merged[j])
-        if pattern is not None and q < n - 2 and ties[q] != pattern[q]:
-            return None
-        if before:
-            pos = bisect_left(seq, total, i) - i + bisect_left(merged, total, j) - j
+        if j < q and (i == n or merged[j] <= seq[i]):
+            a, j = merged[j], j + 1
         else:
-            pos = bisect_right(seq, total, i) - i + len(merged) - j
-        merged.append(total)
-        positions.append(pos + 1)
-    return merged, positions, ties, picks
+            a, i = seq[i], i + 1
+        if j < q and (i == n or merged[j] <= seq[i]):
+            b, j = merged[j], j + 1
+        else:
+            b, i = seq[i], i + 1
+        if q < n - 2:
+            # b is at most either head, so p2 == p3 when a head equals it
+            tie = i < n and seq[i] == b or j < q and merged[j] == b
+            if pattern is not None and tie != pattern[q]:
+                return None
+            ties.append(tie)
+        merged.append(a + b)
+    return merged, ties
 
 
 def _value_repr(value) -> str:
@@ -273,7 +262,13 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
     sort-first behaviour sort before calling.
     """
     seq = validate_weights(weights)
-    merged, positions, ties, _ = _merge(seq, tie_policy is TiePolicy.MERGED_BEFORE_EQUALS)
+    merged, ties = _values(seq)
+    # the position formulas of the module docstring
+    if tie_policy is TiePolicy.MERGED_BEFORE_EQUALS:
+        values = sorted(seq + tuple(merged))
+        positions = [bisect_left(values, m) - 2 * q - 1 for q, m in enumerate(merged)]
+    else:
+        positions = [bisect_right(seq, m) - q - 1 for q, m in enumerate(merged)]
     return HuffmanTrace(seq, tuple(merged), tuple(positions), tuple(ties))
 
 
@@ -312,7 +307,7 @@ class HuffmanTree:
 
 
 def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> HuffmanTree:
-    """Build the Huffman tree from the merge engine's picks.
+    """Build the Huffman tree from the nodes each merge step consumes.
 
     Internal node n+q joins the two nodes step q+1 consumes, in queue
     order, except that a lone leaf always becomes the right child; its
@@ -320,12 +315,16 @@ def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLIC
     """
     seq = validate_weights(weights)
     n = len(seq)
-    merged, _, _, picks = _merge(seq, tie_policy is TiePolicy.MERGED_BEFORE_EQUALS)
-    left, right = picks[0::2], picks[1::2]
+    values = seq + tuple(_values(seq)[0])
+    # the stable sort of the module docstring; the root sorts last
+    before = tie_policy is TiePolicy.MERGED_BEFORE_EQUALS
+    nodes = [*range(2 * n - 2, n - 1, -1), *range(n)] if before else range(2 * n - 1)
+    picks = sorted(nodes, key=values.__getitem__)
+    left, right = picks[:-1:2], picks[1::2]
     for q, (a, b) in enumerate(zip(left, right)):
         if a < n <= b:
             left[q], right[q] = b, a
-    return HuffmanTree(seq + tuple(merged), tuple(left), tuple(right))
+    return HuffmanTree(values, tuple(left), tuple(right))
 
 
 def _leaves(tree: HuffmanTree) -> list[int]:
@@ -536,6 +535,7 @@ def trace_from_json(text: str) -> HuffmanTrace:
     does a float, NaN, Infinity, true or false in place of a step's i or
     pos.
     """
+    import json     # only parsing needs it; it slows start-up
     try:
         doc = json.loads(text, parse_float=_not_an_int, parse_constant=_not_an_int)
         initial = tuple(map(_from_decimal, doc["initial"]))

@@ -18,18 +18,18 @@ of all merged values (each weight contributes once per merge containing it,
 i.e. once per level above its leaf), giving a cost path that never touches
 the tree builder.
 
-The class is decided first.  Each candidate runs through the merge engine
-only up to its first row whose tie flag p2(i) == p3(i) differs from the
-class pattern; only members of the class finish the run and have their two
-costs compared.  Every candidate is still counted in candidates_examined.
+The class is decided first.  Each candidate runs only the engine's value
+loop, the merged values and tie flags, with no positions or tree, and only
+up to its first row whose tie flag p2(i) == p3(i) differs from the class
+pattern; only members of the class finish the run and have their two costs
+compared.  Every candidate is still counted in candidates_examined.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-import json
 import math
 
-from .huffman import OrderClass, _exact_repr, _merge, validate_weights
+from .huffman import OrderClass, _exact_repr, _values, validate_weights
 from .numbers import _to_decimal
 from .theorems import min_k_cost, min_k_sequence
 
@@ -126,10 +126,10 @@ def _scan_class(n, k, max_weight, limit):
     members = 0
     pattern = target.tie_flags(n)
     for cand in enumerate_sequences(n, max_weight):
-        # Candidates are valid by construction, so the scan runs the merge
-        # engine directly, and the engine gives up on a candidate at its
-        # first row whose tie flag is not the class pattern's.
-        run = _merge(cand, True, pattern)
+        # Candidates are valid by construction, so the scan runs the value
+        # loop directly, and the loop gives up on a candidate at its first
+        # row whose tie flag is not the class pattern's.
+        run = _values(cand, pattern)
         if run is None:
             continue
         cost = sum(run[0])
@@ -162,8 +162,8 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     """Scan the k-ordered class of size n and compare against the closed form.
 
     k=None scans the absolutely ordered class.  Every non-decreasing tuple
-    over 1..max_weight is a candidate, and each runs through the merge
-    engine only up to its first row off the class's tie pattern.
+    over 1..max_weight is a candidate, and each runs through the engine's
+    value loop only up to its first row off the class's tie pattern.
     max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
     heuristic, not a proven bound: a cheaper member with a larger weight
     would go unseen.  Enumeration is sequential and the report is
@@ -179,6 +179,7 @@ def brute_force_min_abs(n, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
 
 def report_to_json(report: OracleReport, indent: int | None = None) -> str:
     """Serialize a report to JSON; weights and costs become decimal strings."""
+    import json     # only this needs it; it slows start-up
     doc = {
         "n": report.n,
         "k": report.k,

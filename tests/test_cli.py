@@ -1,11 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from importlib import resources
 
-from huffwyth import cli, oracle
-from huffwyth.numbers import fib
+import pytest
+
+from huffwyth import cli, oracle, theorems, wythoff
+from huffwyth.numbers import _from_decimal, fib
 from huffwyth.huffman import run_huffman, trace_from_json
 from fixture_tables import fixture_rows
 
@@ -104,6 +108,44 @@ def test_cost_command(capsys):
     assert rc == 0 and out == "230\n"
     rc, out, _ = run(capsys, "cost", "--n", "3", "--abs")
     assert rc == 0 and out == "6\n"
+
+
+# ------------------------------------------------------------ size limits
+
+@pytest.mark.parametrize("argv, limit", [
+    ("fib --n 1000000000000", "200000 digits per number"),
+    ("lucas --n 1000000000000", "200000 digits per number"),
+    ("cost --n 1000000000000 --abs", "200000 digits per number"),
+    ("minseq --n 1000000 --abs", "200000 digits per number"),
+    ("minseq --n 14000 --k 3", "20000000 characters in all"),
+    ("wythoff --row 1 --cols 1000000000", "200000 digits per number"),
+    ("wythoff --row 1 --cols 14000", "20000000 characters in all"),
+])
+def test_past_the_size_limit_fails_before_the_work(capsys, monkeypatch, argv, limit):
+    def refuse(*args):
+        raise AssertionError("the work started")
+
+    for module, name in ((cli, "fib"), (cli, "lucas"), (theorems, "min_k_sequence"),
+                         (theorems, "min_k_cost"), (wythoff, "wythoff_row")):
+        monkeypatch.setattr(module, name, refuse)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "") and limit in err
+
+
+def test_size_estimates_bound_the_output(capsys):
+    for argv in ("fib --n 0", "fib --n 1", "fib --n 30000", "lucas --n 1", "lucas --n 5000",
+                 "cost --n 3 --k 0", "cost --n 5000 --abs", "minseq --n 3 --abs",
+                 "minseq --n 300 --k 7", "wythoff --row 0 --cols 1",
+                 "wythoff --row 12345678901234567890 --cols 300 --generalized",
+                 "wythoff --row 1 --cols 2000"):
+        largest, total, count = cli._output_bits(cli._build_parser().parse_args(argv.split()))
+        rc, out, _ = run(capsys, *argv.split())
+        numbers = [_from_decimal(x) for x in re.findall(r"\d+", out)]
+        assert rc == 0 and len(numbers) <= count, argv
+        assert max(numbers).bit_length() <= largest, argv
+        assert sum(x.bit_length() for x in numbers) <= total, argv
 
 
 # ------------------------------------------------------------ huffman command
@@ -312,14 +354,23 @@ def test_selftest_checks_every_shipped_fixture():
     assert shipped == {stem for stem, _, _ in cli._EXAMPLES}
 
 
-def test_import_loads_neither_difflib_nor_golden():
+def _loaded_by_import(*names):
+    """Which of the named modules a fresh `import huffwyth.cli` loads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, huffwyth.cli; "
-            "print(sorted({'difflib', 'huffwyth.golden'} & set(sys.modules)))")
+    code = f"import sys, huffwyth.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_loads_neither_difflib_nor_golden():
+    assert _loaded_by_import("difflib", "huffwyth.golden") == "[]\n"
+
+
+def test_import_does_not_load_json():
+    # only trace_from_json and report_to_json import it
+    assert _loaded_by_import("json") == "[]\n"
 
 
 # ------------------------------------------------------------ parser behaviour

@@ -12,7 +12,10 @@ work without changing the interpreter's int/str digit limit.
 
 fib, lucas, cost, minseq and wythoff check the size of what they would
 print before any work starts, and exit 1 past _MAX_DIGITS digits in one
-number or _MAX_OUTPUT characters in all.  The library has no such limits.
+number or _MAX_OUTPUT characters in all; huffman --trace bounds its trace
+from the values before printing it, against the same _MAX_OUTPUT.  verify
+exits 1 past _MAX_CANDIDATES candidates unless --limit sets another
+limit.  The library has no such limits.
 """
 
 import argparse
@@ -32,6 +35,9 @@ MARKER = "*"
 # these keep each command near a second.
 _MAX_DIGITS = 200_000            # in any one printed number
 _MAX_OUTPUT = 20_000_000         # characters printed in all
+# The oracle's slowest class covers about 450,000 candidates a second
+# (Python 3.11, 2 vCPUs), so this keeps verify near a second too.
+_MAX_CANDIDATES = 500_000        # verify's default --limit
 
 
 class UsageError(Exception):
@@ -205,7 +211,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_int, required=True)
     _add_class(p)
     p.add_argument("--max-weight", type=_int, default=None)
-    p.add_argument("--limit", type=_int, default=oracle.DEFAULT_CANDIDATE_LIMIT)
+    p.add_argument("--limit", type=_int, default=_MAX_CANDIDATES)
 
     sub.add_parser("selftest", help="recompute the reference examples")
     return parser
@@ -244,18 +250,50 @@ def _output_bits(args):
     return 0, 0, 0
 
 
+def _digits(bits: int) -> int:
+    """An upper bound on the digits of a number of this many bits: log10(2) < 0.30103."""
+    return bits * 30103 // 100000 + 1
+
+
+def _check_output(command, chars) -> None:
+    if chars > _MAX_OUTPUT:
+        raise UsageError(f"{command} would print up to {_to_decimal(chars)} characters; "
+                         f"the limit is {_MAX_OUTPUT} characters in all")
+
+
 def _check_size(args) -> None:
     """Raise UsageError when a command would print past _MAX_DIGITS or _MAX_OUTPUT."""
     largest, total, count = _output_bits(args)
-    # a number of b bits has at most b * log10(2) + 1 digits, log10(2) < 0.30103
-    digits = largest * 30103 // 100000 + 1
+    digits = _digits(largest)
     if digits > _MAX_DIGITS:
         raise UsageError(f"{args.command} would print a number of up to {_to_decimal(digits)} "
                          f"digits; the limit is {_MAX_DIGITS} digits per number")
-    chars = total * 30103 // 100000 + 2 * count    # a digit and a separator more per number
-    if chars > _MAX_OUTPUT:
-        raise UsageError(f"{args.command} would print up to {_to_decimal(chars)} characters; "
-                         f"the limit is {_MAX_OUTPUT} characters in all")
+    # a digit and a separator more per number
+    _check_output(args.command, _digits(total) + 2 * count)
+
+
+def _trace_chars(trace, fmt: str, marker: str) -> int:
+    """An upper bound on the characters of a trace in a format, from its 2n-1 values.
+
+    Every step consumes the two smallest values left, so the value of rank
+    r (from 0) in sorted order is in the rows up to P(r // 2); merged value
+    q is in the rows from P(q + 1).  The rows hold n(n+1)/2 values in all,
+    each with a separator.  Every value is counted once more, for the
+    merged column and the JSON document's second copy of P(0).
+    """
+    n = trace.size
+    digits = [_digits(v.bit_length()) for v in sorted(trace.initial + trace.merged)]
+    chars = sum(d * (r // 2 + 1) for r, d in enumerate(digits)) + sum(digits)
+    chars -= sum(_digits(v.bit_length()) * (q + 1) for q, v in enumerate(trace.merged))
+    width = len(str(n))     # of a step number or position
+    if fmt == "json":
+        # quotes, comma, newline and indent per value; keys and padding per step
+        per_value, per_row = 12, 2 * width + 120
+    elif fmt == "csv":
+        per_value, per_row = 1, 2 * width + 4
+    else:
+        per_value, per_row = 1, width + 7 + len(marker)
+    return chars + per_value * (n * (n + 1) // 2 + n) + per_row * n + 64
 
 
 def _cmd_huffman(args) -> int:
@@ -266,6 +304,7 @@ def _cmd_huffman(args) -> int:
     trace = huffman.run_huffman(weights, policy)
     if args.trace:
         # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
+        _check_output("huffman --trace", _trace_chars(trace, args.format, args.marker))
         if args.format == "json":
             chunks = chain(huffman._json_chunks(trace, 2), ("\n",))
         elif args.format == "csv":

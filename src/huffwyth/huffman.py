@@ -11,9 +11,14 @@ trees", ICALP 1976) computes the merged values and tie flags, and nothing
 else.  Merged sums come out non-decreasing, so P(i) is always the union of
 two sorted queues: the leaves not yet consumed and the merged values not
 yet consumed.  Each step takes the two smaller queue heads and reads
-p2 == p3 off the heads that remain: O(n) in all.  A trace's insert
-positions and a tree's picks are derived from the values afterwards, by
-C-level sorting and bisecting (see Ties and Trees), each only where needed.
+p2 == p3 off the heads that remain: O(n) in all.  The loop is resumable:
+its state is the step count and the two queue heads, and given only the
+first known leaves it runs each step that reads no leaf past them, then
+returns its state.  A full run is the call with all n leaves known; the
+oracle feeds the leaves one at a time and drops a prefix at its first row
+off a class's tie pattern.  A trace's insert positions and a tree's picks
+are derived from the values afterwards, by C-level sorting and bisecting
+(see Ties and Trees), each only where needed.
 The rows P(i) take O(n^2) space, so a trace stores only merged values,
 positions and tie flags, and rebuilds the rows on first request.
 
@@ -148,17 +153,24 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
-def _values(seq, pattern=None):
-    """Run the two-queue loop on a validated sorted tuple.
+def _advance(seq, known, merged, q, i, j, pattern=None, ties=None):
+    """Resume the two-queue loop on the leaves seq[:known] of a sorted list.
 
-    Returns (merged, ties): each step's merged value and the flags
-    p2(i) == p3(i), i = 0..n-3.  Given a pattern of n-2 expected flags, it
-    returns None at the first row whose flag differs from the pattern's.
+    The loop is at step q+1: merged[:q] holds the values of the steps run
+    so far, and seq[i:] and merged[j:q] are the two queues.  merged has n-1
+    slots.  Runs each further step that reads no leaf past seq[:known],
+    storing its merged value and, without a pattern, appending its flag
+    p2 == p3 to ties, and returns the new (q, i, j): just before the first
+    step that would read seq[known], or after step n-1.  Given a pattern of
+    n-2 expected flags, it returns None at the first row whose flag
+    differs.  Entries of seq past known are read, if at all, only by a
+    step that is then undone.
     """
     n = len(seq)
-    merged, ties = [], []
-    i = j = 0           # heads of the leaf queue seq[i:] and the merged queue merged[j:q]
-    for q in range(n - 1):
+    stop = known if known < n else n + 1     # with every leaf known, no read is past them
+    flagged = n - 2     # rows 0..n-3 carry a tie flag
+    while q <= flagged:
+        i0, j0 = i, j
         if j < q and (i == n or merged[j] <= seq[i]):
             a, j = merged[j], j + 1
         else:
@@ -167,13 +179,29 @@ def _values(seq, pattern=None):
             b, j = merged[j], j + 1
         else:
             b, i = seq[i], i + 1
-        if q < n - 2:
+        if i >= stop:
+            # a pick read past seq[:known], or the flag would: undo the step
+            return q, i0, j0
+        if q < flagged:
             # b is at most either head, so p2 == p3 when a head equals it
             tie = i < n and seq[i] == b or j < q and merged[j] == b
-            if pattern is not None and tie != pattern[q]:
+            if pattern is None:
+                ties.append(tie)
+            elif tie != pattern[q]:
                 return None
-            ties.append(tie)
-        merged.append(a + b)
+        merged[q] = a + b
+        q += 1
+    return q, i, j
+
+
+def _values(seq):
+    """Run the two-queue loop on a validated sorted tuple.
+
+    Returns (merged, ties): each step's merged value and the flags
+    p2(i) == p3(i), i = 0..n-3.
+    """
+    merged, ties = [0] * (len(seq) - 1), []
+    _advance(seq, len(seq), merged, 0, 0, 0, None, ties)
     return merged, ties
 
 
@@ -263,12 +291,14 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
     """
     seq = validate_weights(weights)
     merged, ties = _values(seq)
-    # the position formulas of the module docstring
+    # the position formulas of the module docstring; merged values never
+    # decrease, so each bisect starts where the last one ended
+    lo = 0
     if tie_policy is TiePolicy.MERGED_BEFORE_EQUALS:
         values = sorted(seq + tuple(merged))
-        positions = [bisect_left(values, m) - 2 * q - 1 for q, m in enumerate(merged)]
+        positions = [(lo := bisect_left(values, m, lo)) - 2 * q - 1 for q, m in enumerate(merged)]
     else:
-        positions = [bisect_right(seq, m) - q - 1 for q, m in enumerate(merged)]
+        positions = [(lo := bisect_right(seq, m, lo)) - q - 1 for q, m in enumerate(merged)]
     return HuffmanTrace(seq, tuple(merged), tuple(positions), tuple(ties))
 
 

@@ -1,6 +1,6 @@
 """Brute-force verification of the closed-form minimizers.
 
-The oracle enumerates every non-decreasing sequence of n weights drawn from
+The oracle covers every non-decreasing sequence of n weights drawn from
 1..max_weight, keeps the ones that belong to the requested order class and
 whose optimal tree is elongated, and reports the minimum cost found
 together with all sequences attaining it.  As in theorems, k=None selects
@@ -18,18 +18,23 @@ of all merged values (each weight contributes once per merge containing it,
 i.e. once per level above its leaf), giving a cost path that never touches
 the tree builder.
 
-The class is decided first.  Each candidate runs only the engine's value
-loop, the merged values and tie flags, with no positions or tree, and only
-up to its first row whose tie flag p2(i) == p3(i) differs from the class
-pattern; only members of the class finish the run and have their two costs
-compared.  Every candidate is still counted in candidates_examined.
+The class is decided first, by a walk over prefixes.  The walk sets p1,
+p2, ... in lexicographic order, keeping an explicit stack of the merge
+loop's state for each prefix length, and resumes the engine's value loop
+(merged values and tie flags only) each time one more weight is known.
+The loop runs every step whose reads lie in the known prefix.  A prefix
+whose rows leave the class's tie pattern p2(i) == p3(i) is dropped with
+every tuple of the box that extends it, and only tuples that reach the
+last row on the pattern have their two costs compared.  Members come out
+in lexicographic order, as in a per-tuple scan.  candidates_examined is the
+size of the box covered, C(n+max_weight-1, n), not the number of prefixes
+the walk visited.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 import math
 
-from .huffman import OrderClass, _exact_repr, _values, validate_weights
+from .huffman import OrderClass, _advance, _exact_repr, validate_weights
 from .numbers import _to_decimal
 from .theorems import min_k_cost, min_k_sequence
 
@@ -37,7 +42,6 @@ __all__ = [
     "SearchSpaceTooLargeError",
     "EmptyClassError",
     "OracleReport",
-    "enumerate_sequences",
     "count_sequences",
     "elongated_cost",
     "brute_force_min",
@@ -63,14 +67,8 @@ def _check_box(n, max_weight):
         raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
 
 
-def enumerate_sequences(n, max_weight):
-    """Yield all non-decreasing n-tuples over 1..max_weight in lexicographic order."""
-    _check_box(n, max_weight)
-    return combinations_with_replacement(range(1, max_weight + 1), n)
-
-
 def count_sequences(n: int, max_weight: int) -> int:
-    """Number of such tuples: C(n + max_weight - 1, n)."""
+    """Number of non-decreasing n-tuples over 1..max_weight: C(n + max_weight - 1, n)."""
     _check_box(n, max_weight)
     return math.comb(n + max_weight - 1, n)
 
@@ -89,6 +87,37 @@ def elongated_cost(weights) -> int:
     for a sorted input.
     """
     return _elongated_cost(validate_weights(weights))
+
+
+def _on_pattern(n, max_weight, pattern):
+    """Yield (tuple, sum of its merged values) for each box tuple whose tie flags are pattern.
+
+    The tuples come in lexicographic order.  The walk sets p1, p2, ... one
+    at a time and resumes the merge loop on each longer prefix; a prefix
+    whose rows leave the pattern is dropped with every tuple extending it.
+    heads[d] is the loop's state before p(d+1) is known.
+    """
+    seq = [1] * n
+    merged = [0] * (n - 1)
+    heads = [(0, 0, 0)] * n
+    d = 0
+    while True:
+        q, i, j = heads[d]
+        state = _advance(seq, d + 1, merged, q, i, j, pattern)
+        if state is not None:
+            if d == n - 1:
+                yield tuple(seq), sum(merged)
+            else:
+                d += 1
+                heads[d] = state
+                seq[d] = seq[d - 1]
+                continue
+        # the next prefix in lexicographic order
+        while seq[d] == max_weight:
+            if d == 0:
+                return
+            d -= 1
+        seq[d] += 1
 
 
 @dataclass(frozen=True, repr=False)
@@ -124,15 +153,7 @@ def _scan_class(n, k, max_weight, limit):
     best = None
     best_seqs = []
     members = 0
-    pattern = target.tie_flags(n)
-    for cand in enumerate_sequences(n, max_weight):
-        # Candidates are valid by construction, so the scan runs the value
-        # loop directly, and the loop gives up on a candidate at its first
-        # row whose tie flag is not the class pattern's.
-        run = _values(cand, pattern)
-        if run is None:
-            continue
-        cost = sum(run[0])
+    for cand, cost in _on_pattern(n, max_weight, target.tie_flags(n)):
         if cost != _elongated_cost(cand):
             continue  # no optimal tree of this sequence is elongated
         members += 1
@@ -159,15 +180,17 @@ def _scan_class(n, k, max_weight, limit):
 
 
 def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Scan the k-ordered class of size n and compare against the closed form.
+    """Search the k-ordered class of size n and compare against the closed form.
 
-    k=None scans the absolutely ordered class.  Every non-decreasing tuple
-    over 1..max_weight is a candidate, and each runs through the engine's
-    value loop only up to its first row off the class's tie pattern.
-    max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
-    heuristic, not a proven bound: a cheaper member with a larger weight
-    would go unseen.  Enumeration is sequential and the report is
-    deterministic.
+    k=None searches the absolutely ordered class.  The box is every
+    non-decreasing tuple over 1..max_weight, and its
+    C(n+max_weight-1, n) tuples, checked against limit first, are all
+    covered: a prefix walk drives the engine's value loop one weight at a
+    time and drops each prefix at its first row off the class's tie
+    pattern, with all its extensions.  max_weight defaults to
+    max(min_k_sequence(n, k)) + 2.  That box is a heuristic, not a proven
+    bound: a cheaper member with a larger weight would go unseen.  The walk
+    is sequential and the report is deterministic.
     """
     return _scan_class(n, k, max_weight, limit)
 

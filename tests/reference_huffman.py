@@ -16,7 +16,8 @@ is_left_sided, check_elongated_inequality, check_fib_row_identity and the
 exhaustive shape search optimal_tree_cost are cross-checks that only the tests use.
 
 reference_scan is the oracle's scan by its definition, through public
-calls only: a full trace and its classification for every candidate.
+calls only: a full trace and its classification for every tuple that
+enumerate_sequences yields.
 """
 
 import csv
@@ -25,10 +26,11 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from huffwyth.huffman import OrderClass, TiePolicy, classify_trace, run_huffman, validate_weights
 from huffwyth.numbers import fib
-from huffwyth.oracle import EmptyClassError, OracleReport, elongated_cost, enumerate_sequences
+from huffwyth.oracle import EmptyClassError, OracleReport, _check_box, elongated_cost
 from huffwyth.theorems import min_k_cost, min_k_sequence
 from huffwyth.wythoff import wythoff_row
 
@@ -219,6 +221,12 @@ def optimal_tree_cost(weights) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def enumerate_sequences(n, max_weight):
+    """Yield all non-decreasing n-tuples over 1..max_weight in lexicographic order."""
+    _check_box(n, max_weight)
+    return combinations_with_replacement(range(1, max_weight + 1), n)
 
 
 def reference_scan(n, k, max_weight):

@@ -7,8 +7,9 @@ import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from huffwyth import cli, oracle, theorems, wythoff
+from huffwyth import cli, huffman, oracle, theorems, wythoff
 from huffwyth.numbers import _from_decimal, fib
 from huffwyth.huffman import run_huffman, trace_from_json
 from fixture_tables import fixture_rows
@@ -146,6 +147,40 @@ def test_size_estimates_bound_the_output(capsys):
         assert rc == 0 and len(numbers) <= count, argv
         assert max(numbers).bit_length() <= largest, argv
         assert sum(x.bit_length() for x in numbers) <= total, argv
+
+
+def _trace_text(trace, fmt, marker="*"):
+    if fmt == "json":
+        return huffman.trace_to_json(trace, 2) + "\n"
+    return "".join(cli._csv_chunks(trace) if fmt == "csv" else cli._table_chunks(trace, marker))
+
+
+@given(st.sampled_from([3, 10**6, 10**40]).flatmap(
+           lambda top: st.lists(st.integers(1, top), min_size=1, max_size=40)),
+       st.sampled_from(list(huffman.TiePolicy)), st.sampled_from(["*", "", "<-"]))
+@settings(max_examples=200)
+def test_trace_size_bound_holds(weights, policy, marker):
+    trace = run_huffman(sorted(weights), policy)
+    for fmt in ("json", "csv", "table"):
+        assert len(_trace_text(trace, fmt, marker)) <= cli._trace_chars(trace, fmt, marker)
+
+
+def test_trace_size_bound_admits_large_traces():
+    # 3000 ones print 9.1 MB of CSV; n = 400 minimizers about 5.5 MB in any format
+    assert cli._trace_chars(run_huffman([1] * 3000), "csv", "*") <= cli._MAX_OUTPUT
+    for k in (None, 5, 397):
+        trace = run_huffman(theorems.min_k_sequence(400, k))
+        for fmt in ("json", "csv", "table"):
+            assert cli._trace_chars(trace, fmt, "*") <= cli._MAX_OUTPUT
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_huffman_trace_past_the_size_limit(capsys, fmt):
+    # 6000 ones would print 36 MB of CSV
+    ones = ",".join(["1"] * 6000)
+    rc, out, err = run(capsys, "huffman", "--weights", ones, "--trace", "--format", fmt)
+    assert (rc, out) == (1, "")
+    assert "huffman --trace would print up to" in err and "20000000 characters in all" in err
 
 
 # ------------------------------------------------------------ huffman command
@@ -296,6 +331,16 @@ def test_verify_small_bound_is_input_error(capsys):
 def test_verify_limit_violation(capsys):
     rc, _, err = run(capsys, "verify", "--n", "6", "--k", "0", "--limit", "10")
     assert rc == 1 and "exceed" in err
+
+
+def test_verify_fails_fast_past_the_default_limit(capsys):
+    # 82,598,880 candidates, under the library's default limit of 10**8
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify", "--n", "6", "--abs", "--max-weight", "60")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert f"exceed the limit of {cli._MAX_CANDIDATES}" in err
+    assert cli._MAX_CANDIDATES < oracle.DEFAULT_CANDIDATE_LIMIT
 
 
 def test_verify_mismatch_exits_two(capsys, monkeypatch):

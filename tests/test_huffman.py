@@ -26,6 +26,7 @@ from huffwyth.huffman import (
     trace_to_json,
     validate_weights,
     wepl,
+    _advance,
     _values,
 )
 from huffwyth.theorems import min_k_sequence
@@ -412,12 +413,39 @@ def seqs_and_patterns(draw):
 @settings(max_examples=500)
 def test_merge_with_pattern_stops_only_off_pattern(case):
     seq, pattern = case
-    full = _values(seq)
-    run = _values(seq, pattern)
-    if full[1] != pattern:
-        assert run is None
+    n = len(seq)
+    full, ties = _values(seq)
+    merged = [0] * (n - 1)
+    state = _advance(seq, n, merged, 0, 0, 0, pattern)
+    if ties != pattern:
+        assert state is None
+        # it stops at the first row off the pattern, having run the rows before it
+        off = next(t for t, (tie, want) in enumerate(zip(ties, pattern)) if tie != want)
+        assert merged == full[:off] + [0] * (n - 1 - off)
     else:
-        assert run == full
+        assert state is not None and merged == full
+
+
+@given(seqs_and_patterns(), st.lists(st.integers(1, 10), min_size=12, max_size=12))
+@settings(max_examples=500)
+def test_advance_one_leaf_at_a_time_matches_the_full_run(case, stale):
+    # the oracle's walk resumes the loop as each leaf becomes known, over a
+    # list whose entries past the known prefix are left from other tuples
+    seq, pattern = case
+    n = len(seq)
+    for want in (None, pattern):
+        work, merged, ties = stale[:n], [0] * (n - 1), []
+        state = (0, 0, 0)
+        for known in range(1, n + 1):
+            work[known - 1] = seq[known - 1]
+            state = _advance(work, known, merged, *state, want, ties)
+            if state is None:
+                break
+        full, full_ties = [0] * (n - 1), []
+        assert state == _advance(seq, n, full, 0, 0, 0, want, full_ties)
+        assert merged == full and ties == full_ties
+        if want is None:
+            assert (merged, ties) == _values(seq)
 
 
 def test_order_class_str():

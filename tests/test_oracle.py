@@ -12,11 +12,10 @@ from huffwyth.oracle import (
     brute_force_min_abs,
     count_sequences,
     elongated_cost,
-    enumerate_sequences,
     report_to_json,
 )
 from huffwyth.theorems import min_abs_cost, min_k_cost, min_k_sequence
-from reference_huffman import TooLargeError, optimal_tree_cost, reference_scan
+from reference_huffman import TooLargeError, enumerate_sequences, optimal_tree_cost, reference_scan
 
 small_seqs = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=8
@@ -146,6 +145,14 @@ def test_brute_force_empty_class():
         brute_force_min(4, 0, max_weight=2)
 
 
+def test_brute_force_empty_class_at_large_n():
+    # the walk keeps an explicit stack, one entry per known weight
+    for k, max_weight in ((0, 2), (None, 1)):
+        with pytest.raises(EmptyClassError, match=f"^no members of the class found "
+                                                  f"with weights up to {max_weight}$"):
+            brute_force_min(3000, k, max_weight=max_weight)
+
+
 def test_brute_force_space_limit():
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_min(6, 0, max_weight=9, limit=10)
@@ -158,13 +165,14 @@ def _scan_outcome(scan, *args):
         return EmptyClassError, str(exc)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_brute_force_matches_reference_scan(n):
-    # the early-exit scan against full traces and classification, boxes
-    # from empty classes up to three past the default bound
-    for k in [None, *range(n - 2)]:
+    # the prefix walk against full traces and classification, boxes from
+    # empty classes up to three past the default bound; n = 7 takes the
+    # default box of three classes
+    for k in [None, 0, 4] if n == 7 else [None, *range(n - 2)]:
         default = max(min_k_sequence(n, k)) + 2
-        for max_weight in (1, 2, 3, None, default + 3):
+        for max_weight in (None,) if n == 7 else (1, 2, 3, None, default + 3):
             expected = _scan_outcome(reference_scan, n, k, max_weight or default)
             assert _scan_outcome(brute_force_min, n, k, max_weight) == expected, (n, k, max_weight)
 

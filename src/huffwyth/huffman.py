@@ -18,9 +18,12 @@ returns its state.  A full run is the call with all n leaves known; the
 oracle feeds the leaves one at a time and drops a prefix at its first row
 off a class's tie pattern.  A trace's insert positions and a tree's picks
 are derived from the values afterwards, by C-level sorting and bisecting
-(see Ties and Trees), each only where needed.
+(see Ties and Trees), each only where needed: a trace holds its tie policy
+in place of its positions and derives them on first read, so cost and
+classification, which never read them, pay one loop and no sort.
 The rows P(i) take O(n^2) space, so a trace stores only merged values,
-positions and tie flags, and rebuilds the rows on first request.
+tie flags and the positions or the policy they come from, and rebuilds
+the rows on first request.
 
 Rendering.  The table, CSV and JSON renderers never build the int rows.
 They convert each of the 2n-1 values to decimal text once, through
@@ -84,7 +87,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from operator import mul
+from operator import le, mul
 from typing import Iterable
 
 from .numbers import _from_decimal, _to_decimal
@@ -141,6 +144,9 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     order non-decreasing.
     """
     seq = tuple(weights)
+    # valid input passes at C speed; anything else meets the loops below
+    if seq and set(map(type, seq)) == {int} and seq[0] >= 1 and all(map(le, seq, seq[1:])):
+        return seq
     if not seq:
         raise EmptySequenceError("weight sequence is empty")
     for w in seq:
@@ -224,18 +230,55 @@ def _exact_repr(self) -> str:
         f"{f.name}={_value_repr(getattr(self, f.name))}" for f in fields(self)) + ")"
 
 
+def _positions(seq, merged, tie_policy) -> tuple[int, ...]:
+    """The 1-based position of each merged value in its row, by the module docstring's formulas.
+
+    Merged values never decrease, so each bisect starts where the last one
+    ended.
+    """
+    lo = 0
+    if tie_policy is TiePolicy.MERGED_BEFORE_EQUALS:
+        values = sorted(seq + merged)
+        return tuple([(lo := bisect_left(values, m, lo)) - 2 * q - 1 for q, m in enumerate(merged)])
+    return tuple([(lo := bisect_right(seq, m, lo)) - q - 1 for q, m in enumerate(merged)])
+
+
+class _DerivedPositions:
+    """The positions field, held as a TiePolicy until first read and then as the tuple.
+
+    A data descriptor, so every read, the dataclass's ==, hash and repr
+    included, goes through __get__ and sees the tuple.  The instance dict
+    holds a TiePolicy or a tuple, and both pickle and copy.
+    """
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            raise AttributeError("positions")     # so the field has no default
+        positions = trace.__dict__["positions"]
+        if isinstance(positions, TiePolicy):
+            positions = trace.__dict__["positions"] = _positions(trace.initial, trace.merged,
+                                                                 positions)
+        return positions
+
+    def __set__(self, trace, value):
+        trace.__dict__["positions"] = value
+
+
 @dataclass(frozen=True, repr=False)
 class HuffmanTrace:
     """Record of a Huffman run: the input and, per step, what the engine emits.
 
     merged[i-1] and positions[i-1] are the merged value of step i and its
     1-based position in P(i); ties[i] is p2(i) == p3(i) for i = 0..n-3.
-    The rows P(i) are rebuilt from these on first request and cached.
+    run_huffman passes its tie policy in place of the positions, which are
+    derived from it, the input and the merged values on first read and then
+    cached: cost, classification and trees never read them.  The rows P(i)
+    are rebuilt on first request and cached too.
     """
 
     initial: tuple[int, ...]
     merged: tuple[int, ...]
-    positions: tuple[int, ...]
+    positions: tuple[int, ...] = _DerivedPositions()
     ties: tuple[bool, ...]
 
     __repr__ = _exact_repr
@@ -291,15 +334,8 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
     """
     seq = validate_weights(weights)
     merged, ties = _values(seq)
-    # the position formulas of the module docstring; merged values never
-    # decrease, so each bisect starts where the last one ended
-    lo = 0
-    if tie_policy is TiePolicy.MERGED_BEFORE_EQUALS:
-        values = sorted(seq + tuple(merged))
-        positions = [(lo := bisect_left(values, m, lo)) - 2 * q - 1 for q, m in enumerate(merged)]
-    else:
-        positions = [(lo := bisect_right(seq, m, lo)) - q - 1 for q, m in enumerate(merged)]
-    return HuffmanTrace(seq, tuple(merged), tuple(positions), tuple(ties))
+    # the positions are derived from the policy on first read
+    return HuffmanTrace(seq, tuple(merged), tie_policy, tuple(ties))
 
 
 @dataclass(frozen=True, repr=False)

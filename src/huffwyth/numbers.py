@@ -28,19 +28,22 @@ __all__ = ["fib", "lucas", "lower_wythoff"]
 
 
 def _fib_pair(i: int) -> tuple[int, int]:
-    """Return (F(i), F(i+1)) by fast doubling, in O(log i) multiplications.
+    """Return (F(i), F(i+1)) by fast doubling on (F, L), two big products a bit.
 
-    F(2k) = F(k) * (2 F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2, taken
-    over the bits of i from the top.
+    Over the bits of i from the top, k doubles by F(2k) = F(k) L(k) and
+    L(2k) = L(k)^2 - 2 (-1)^k, and a set bit adds one by
+    F(k+1) = (F(k) + L(k)) / 2 and L(k+1) = (5 F(k) + L(k)) / 2, with
+    L(0) = 2.  At the end F(i+1) = (F(i) + L(i)) / 2.
     """
     if i < 0:
         raise ValueError(f"Fibonacci index must be nonnegative, got {_to_decimal(i)}")
-    a, b = 0, 1
+    fk, lk, odd = 0, 2, False      # F(k), L(k) and whether k is odd, for k = 0
     for bit in bin(i)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        a, b = (d, c + d) if bit == "1" else (c, d)
-    return a, b
+        fk, lk = fk * lk, lk * lk + (2 if odd else -2)
+        odd = bit == "1"
+        if odd:
+            fk, lk = (fk + lk) >> 1, (5 * fk + lk) >> 1
+    return fk, (fk + lk) >> 1
 
 
 def fib(i: int) -> int:

@@ -12,6 +12,10 @@ The reference renderers are the direct readings of the three trace formats:
 they walk the int rows and convert every cell with str().  The renderers in
 huffwyth must produce the same bytes.
 
+reference_validate_weights is validate_weights by its loops alone, without
+the fast path for valid input: every input must meet the same result or
+the same error under both.
+
 is_left_sided, check_elongated_inequality, check_fib_row_identity and the
 exhaustive shape search optimal_tree_cost are cross-checks that only the tests use.
 
@@ -28,8 +32,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from huffwyth.huffman import OrderClass, TiePolicy, classify_trace, run_huffman, validate_weights
-from huffwyth.numbers import fib
+from huffwyth.huffman import (EmptySequenceError, NotSortedError, OrderClass, TiePolicy,
+                              classify_trace, run_huffman, validate_weights, _value_repr)
+from huffwyth.numbers import _to_decimal, fib
 from huffwyth.oracle import EmptyClassError, OracleReport, _check_box, elongated_cost
 from huffwyth.theorems import min_k_cost, min_k_sequence
 from huffwyth.wythoff import wythoff_row
@@ -45,6 +50,21 @@ class Internal:
     left: "Leaf | Internal"
     right: "Leaf | Internal"
     weight: int
+
+
+def reference_validate_weights(weights):
+    """Validate and normalize a weight sequence to a tuple, one weight at a time."""
+    seq = tuple(weights)
+    if not seq:
+        raise EmptySequenceError("weight sequence is empty")
+    for w in seq:
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+            raise ValueError(f"weights must be positive integers, got {_value_repr(w)}")
+    for a, b in zip(seq, seq[1:]):
+        if a > b:
+            raise NotSortedError(
+                f"weights must be non-decreasing, got {_to_decimal(a)} before {_to_decimal(b)}")
+    return seq
 
 
 def _insert_index(sorted_vals, value, tie_policy, key=None):

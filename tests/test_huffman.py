@@ -1,10 +1,14 @@
+import copy
 import json
+import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from huffwyth import huffman
 from huffwyth.huffman import (
     DEFAULT_TIE_POLICY,
     EmptySequenceError,
@@ -37,6 +41,7 @@ from reference_huffman import (
     nested,
     reference_trace,
     reference_tree,
+    reference_validate_weights,
 )
 
 FIB10 = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
@@ -127,6 +132,58 @@ def test_validation_errors():
         run_huffman((0, 1))
     with pytest.raises(ValueError):
         validate_weights((1, -4))
+
+
+class Weight(int):
+    """An int subclass: a valid weight that the fast path leaves to the loops."""
+
+
+mixed_weights = st.lists(st.one_of(
+    st.integers(-2, 6), st.integers(1, 10 ** 30), st.integers(1, 6).map(Weight),
+    st.booleans(), st.floats(-1, 7), st.just(float("nan"))), max_size=8)
+
+
+@given(st.one_of(mixed_weights, mixed_weights.map(sorted), weight_seqs))
+def test_validation_matches_the_loops(weights):
+    # ints, an int subclass, bools, floats, 0 and negatives, unsorted, sorted
+    # and empty: the same tuple or the same error with the same message
+    def outcome(validate):
+        try:
+            seq = validate(weights)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return seq, list(map(type, seq))
+
+    assert outcome(validate_weights) == outcome(reference_validate_weights)
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_positions_are_derived_only_when_read(monkeypatch, policy):
+    weights = (1, 1, 2, 2, 2, 3, 5, 8)
+
+    def no_positions(*args):
+        raise AssertionError("insert positions were derived")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(huffman, "_positions", no_positions)
+        trace = run_huffman(weights, policy)
+        assert classify_trace(trace) == classify_order(weights)
+        assert trace.merged_values() == list(trace.merged) and trace.total == sum(weights)
+        assert wepl(build_tree(weights, policy)) == sum(trace.merged)
+        # the stored form pickles and copies without the positions
+        pickle.loads(pickle.dumps(trace))
+        copy.deepcopy(trace)
+    read = run_huffman(weights, policy)
+    assert read.positions == tuple(reference_trace(weights, policy)[2])
+    # each behaviour gives the same on a trace not yet read as on one read
+    for check in [lambda t: t == run_huffman(weights, policy), hash, repr,
+                  lambda t: [f.name for f in fields(t)],
+                  lambda t: repr(pickle.loads(pickle.dumps(t))),
+                  lambda t: repr(copy.deepcopy(t))]:
+        assert check(run_huffman(weights, policy)) == check(read)
+    for t in (run_huffman(weights, policy), read):
+        with pytest.raises(FrozenInstanceError):
+            t.positions = read.positions
 
 
 @given(weight_seqs)

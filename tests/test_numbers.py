@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from huffwyth.numbers import fib, lower_wythoff, lucas
+from huffwyth.numbers import _fib_pair, fib, lower_wythoff, lucas
 
 
 def test_fib_small_values():
@@ -28,6 +28,7 @@ def test_fast_doubling_matches_running_pair():
     # the running-pair loops fib and lucas used before, as the reference
     a, b = 0, 1
     for i in range(2500):
+        assert _fib_pair(i) == (a, b)
         assert fib(i) == a
         a, b = b, a + b
     a, b = 1, 3
@@ -36,6 +37,24 @@ def test_fast_doubling_matches_running_pair():
         a, b = b, a + b
     assert fib(100_003) == sympy.fibonacci(100_003)
     assert lucas(100_003) == sympy.lucas(100_003)
+
+
+def _three_product_pair(i):
+    """(F(i), F(i+1)) by doubling on (F(k), F(k+1)), three big products a bit."""
+    a, b = 0, 1
+    for bit in bin(i)[2:]:
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
+
+
+def test_fib_pair_matches_three_product_doubling():
+    # near the benchmark's index, and at 2^m - 1 (every bit set) and 2^m + 1
+    indices = [10 ** 5 + d for d in range(-3, 4)]
+    indices += [2 ** m + d for m in range(1, 18) for d in (-1, 1)]
+    for i in indices:
+        assert _fib_pair(i) == _three_product_pair(i)
 
 
 def test_fib_rejects_negative():

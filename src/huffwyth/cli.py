@@ -10,12 +10,14 @@ Every int the commands print or parse, flag values and weights included,
 goes through numbers._to_decimal and _from_decimal, so values of any length
 work without changing the interpreter's int/str digit limit.
 
-fib, lucas, cost, minseq and wythoff check the size of what they would
-print before any work starts, and exit 1 past _MAX_DIGITS digits in one
-number or _MAX_OUTPUT characters in all; huffman --trace bounds its trace
-from the values before printing it, against the same _MAX_OUTPUT.  verify
-exits 1 past _MAX_CANDIDATES candidates unless --limit sets another
-limit.  The library has no such limits.
+fib, lucas, cost, minseq, wythoff and verify (its closed form) check the
+size of what they would print before any work starts, and exit 1 past
+_MAX_DIGITS digits in one number or _MAX_OUTPUT characters in all;
+huffman --trace bounds its trace from the values before printing it,
+against the same _MAX_OUTPUT.  verify exits 1 past _MAX_CANDIDATES
+candidates unless --limit sets another limit, and refuses a huge box
+before it builds the closed form or the count.  The library has no
+output limits.
 """
 
 import argparse
@@ -232,13 +234,14 @@ def _output_bits(args):
 
     Returns (bits of the largest number, bits of all numbers, how many
     numbers), all 0 for a command whose output its input bounds.  A
-    negative size counts as 0; the command itself then rejects it.
+    negative size counts as 0; the command itself then rejects it.  verify
+    gets minseq's bound, for the closed form its report prints.
     """
     if args.command in ("fib", "lucas", "cost"):
         # L(n) <= F(n+2), and either class's cost is below F(n+4)
         bits = _fib_bits(max(args.n, 0) + {"fib": 0, "lucas": 2, "cost": 4}[args.command])
         return bits, bits, 1
-    if args.command == "minseq":
+    if args.command in ("minseq", "verify"):
         # p(i) <= F(i) in every class
         n = max(args.n, 0)
         return _fib_bits(n + 4), _fib_bits_sum(n) + _fib_bits(n + 4), n + 1

@@ -22,8 +22,8 @@ are derived from the values afterwards, by C-level sorting and bisecting
 in place of its positions and derives them on first read, so cost and
 classification, which never read them, pay one loop and no sort.
 The rows P(i) take O(n^2) space, so a trace stores only merged values,
-tie flags and the positions or the policy they come from, and rebuilds
-the rows on first request.
+tie flags and the positions or the policy they come from, and builds the
+rows anew on each request, for the caller to keep or drop.
 
 Rendering.  The table, CSV and JSON renderers never build the int rows.
 They convert each of the 2n-1 values to decimal text once, through
@@ -86,7 +86,6 @@ of the tie policy.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from operator import le, mul
 from typing import Iterable
 
@@ -273,7 +272,7 @@ class HuffmanTrace:
     run_huffman passes its tie policy in place of the positions, which are
     derived from it, the input and the merged values on first read and then
     cached: cost, classification and trees never read them.  The rows P(i)
-    are rebuilt on first request and cached too.
+    are built anew on each request and not kept.
     """
 
     initial: tuple[int, ...]
@@ -303,10 +302,6 @@ class HuffmanTrace:
             row = row[2:pos + 1] + (value,) + row[pos + 1:]
             yield row
 
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._replay(self.initial, self.merged))
-
     def text_rows(self):
         """Yield the rows P(0), ..., P(n-1) as tuples of decimal strings.
 
@@ -318,8 +313,11 @@ class HuffmanTrace:
                             tuple(map(_to_decimal, self.merged)))
 
     def sequences(self) -> list[tuple[int, ...]]:
-        """Return [P(0), P(1), ..., P(n-1)]; the last entry is (total,)."""
-        return list(self._rows)
+        """Return [P(0), P(1), ..., P(n-1)]; the last entry is (total,).
+
+        The O(n^2) rows are built on each call and not kept.
+        """
+        return list(self._replay(self.initial, self.merged))
 
     def merged_values(self) -> list[int]:
         return list(self.merged)
@@ -535,22 +533,6 @@ def classify_order(weights: Iterable[int]) -> OrderClass:
     return classify_trace(run_huffman(weights))
 
 
-def _document(rows, positions) -> dict:
-    """The JSON document of a trace, from its text rows P(0), ..., P(n-1).
-
-    trace_from_json compares a parsed document with this one; trace_to_json
-    writes the same document's text directly.
-    """
-    return {
-        "initial": rows[0],
-        "steps": [
-            {"i": i, "input": prev, "merged": row[pos - 1], "pos": pos}
-            for i, (prev, row, pos) in enumerate(zip(rows, rows[1:], positions), 1)
-        ],
-        "total": rows[-1][0],
-    }
-
-
 def _json_chunks(trace: HuffmanTrace, indent: int | None):
     """Yield the text of json.dumps(document, indent=indent) for a trace.
 
@@ -581,8 +563,9 @@ def _json_chunks(trace: HuffmanTrace, indent: int | None):
 def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
     """Serialize a trace to JSON with weights as decimal strings.
 
-    The text is byte-identical to json.dumps of the document with the same
-    indent.
+    The document is {"initial": P(0), "steps": [{"i": i, "input": P(i-1),
+    "merged": merged value, "pos": position}, ...], "total": total}, and the
+    text is byte-identical to json.dumps of it with the same indent.
     """
     return "".join(_json_chunks(trace, indent))
 
@@ -595,11 +578,11 @@ def trace_from_json(text: str) -> HuffmanTrace:
     """Parse a trace produced by trace_to_json back into a HuffmanTrace.
 
     Only the initial weights are parsed.  They are replayed under each tie
-    policy, and the document must equal the one trace_to_json builds for
-    one of those runs.  A number where a decimal string belongs, a missing
-    or extra key, or a row that does not replay raises ValueError, and so
-    does a float, NaN, Infinity, true or false in place of a step's i or
-    pos.
+    policy, and the parsed document must equal json.loads of trace_to_json
+    for one of those runs, so key order and whitespace do not matter.  A
+    number where a decimal string belongs, a missing or extra key, or a row
+    that does not replay raises ValueError, and so does a float, NaN,
+    Infinity, true or false in place of a step's i or pos.
     """
     import json     # only parsing needs it; it slows start-up
     try:
@@ -609,8 +592,7 @@ def trace_from_json(text: str) -> HuffmanTrace:
         raise ValueError(f"malformed trace document: {exc}") from exc
     for policy in TiePolicy:
         trace = run_huffman(initial, policy)
-        # json.loads gives lists where text_rows() gives tuples
-        if _document(list(map(list, trace.text_rows())), trace.positions) == doc:
+        if json.loads(trace_to_json(trace)) == doc:
             # True == 1, so only the type tells a bool from the int it equals
             if any(type(step["i"]) is bool or type(step["pos"]) is bool for step in doc["steps"]):
                 raise ValueError("malformed trace document: true or false where an integer belongs")

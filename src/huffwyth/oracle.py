@@ -36,7 +36,7 @@ import math
 
 from .huffman import OrderClass, _advance, _exact_repr, validate_weights
 from .numbers import _to_decimal
-from .theorems import min_k_cost, min_k_sequence
+from .theorems import _check_k, min_k_cost, min_k_sequence
 
 __all__ = [
     "SearchSpaceTooLargeError",
@@ -138,18 +138,27 @@ class OracleReport:
     __repr__ = _exact_repr
 
 
+def _too_large(count, limit):
+    return SearchSpaceTooLargeError(f"{count} candidates exceed the limit of "
+                                    f"{_to_decimal(limit)}; lower max_weight or raise the limit")
+
+
 def _scan_class(n, k, max_weight, limit):
-    closed_seq = min_k_sequence(n, k)
-    closed_cost = min_k_cost(n, k)
-    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
+    _check_k(n, k)
+    # C(n+w-1, n) >= 2**min(n, w-1), and the default box has w >= F(n-1) + 2 >= n
+    least = min(n, n if max_weight is None else max_weight) - 1
+    if least >= limit.bit_length():
+        raise _too_large(f"at least 2**{_to_decimal(least)}", limit)
+    closed_seq = None
     if max_weight is None:
+        closed_seq = min_k_sequence(n, k)
         max_weight = max(closed_seq) + 2
     total = count_sequences(n, max_weight)
     if total > limit:
-        raise SearchSpaceTooLargeError(
-            f"{_to_decimal(total)} candidates exceed the limit of {_to_decimal(limit)}; "
-            f"lower max_weight or raise the limit"
-        )
+        raise _too_large(_to_decimal(total), limit)
+    closed_seq = closed_seq or min_k_sequence(n, k)     # an explicit box is counted first
+    closed_cost = min_k_cost(n, k)
+    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
     best = None
     best_seqs = []
     members = 0
@@ -184,13 +193,17 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
 
     k=None searches the absolutely ordered class.  The box is every
     non-decreasing tuple over 1..max_weight, and its
-    C(n+max_weight-1, n) tuples, checked against limit first, are all
-    covered: a prefix walk drives the engine's value loop one weight at a
-    time and drops each prefix at its first row off the class's tie
-    pattern, with all its extensions.  max_weight defaults to
-    max(min_k_sequence(n, k)) + 2.  That box is a heuristic, not a proven
-    bound: a cheaper member with a larger weight would go unseen.  The walk
-    is sequential and the report is deterministic.
+    C(n+max_weight-1, n) tuples are all covered: a prefix walk drives the
+    engine's value loop one weight at a time and drops each prefix at its
+    first row off the class's tie pattern, with all its extensions.
+    max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
+    heuristic, not a proven bound: a cheaper member with a larger weight
+    would go unseen.  The walk is sequential and the report is
+    deterministic.  First n and k are checked as in theorems, and a box
+    of more than limit tuples raises SearchSpaceTooLargeError: at once
+    where C(n+w-1, n) >= 2**min(n, w-1) settles it, with w max_weight or n
+    for the default box, or else on the exact count, which an explicit
+    max_weight gets before the closed form is built.
     """
     return _scan_class(n, k, max_weight, limit)
 

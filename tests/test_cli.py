@@ -121,13 +121,16 @@ def test_cost_command(capsys):
     ("minseq --n 14000 --k 3", "20000000 characters in all"),
     ("wythoff --row 1 --cols 1000000000", "200000 digits per number"),
     ("wythoff --row 1 --cols 14000", "20000000 characters in all"),
+    ("verify --n 1000000 --abs", "200000 digits per number"),
+    ("verify --n 14000 --k 3", "20000000 characters in all"),
 ])
 def test_past_the_size_limit_fails_before_the_work(capsys, monkeypatch, argv, limit):
     def refuse(*args):
         raise AssertionError("the work started")
 
     for module, name in ((cli, "fib"), (cli, "lucas"), (theorems, "min_k_sequence"),
-                         (theorems, "min_k_cost"), (wythoff, "wythoff_row")):
+                         (theorems, "min_k_cost"), (wythoff, "wythoff_row"),
+                         (oracle, "brute_force_min")):
         monkeypatch.setattr(module, name, refuse)
     start = time.perf_counter()
     rc, out, err = run(capsys, *argv.split())
@@ -298,6 +301,10 @@ def test_classify_outputs(capsys):
     assert rc == 0 and out == "7-ordered\n"
     rc, out, _ = run(capsys, "classify", "--weights", "1,1,2,2")
     assert rc == 0 and out == "unordered\n"
+    rc, out, _ = run(capsys, "classify", "--weights", "3,1,2", "--sort")
+    assert rc == 0 and out == "absolutely-ordered\n"
+    rc, out, err = run(capsys, "classify", "--weights", "3,1,2")
+    assert (rc, out) == (1, "") and "non-decreasing" in err
 
 
 def test_classify_too_short(capsys):
@@ -334,12 +341,15 @@ def test_verify_limit_violation(capsys):
 
 
 def test_verify_fails_fast_past_the_default_limit(capsys):
-    # 82,598,880 candidates, under the library's default limit of 10**8
-    start = time.perf_counter()
-    rc, out, err = run(capsys, "verify", "--n", "6", "--abs", "--max-weight", "60")
-    assert time.perf_counter() - start < 1.0
-    assert (rc, out) == (1, "")
-    assert f"exceed the limit of {cli._MAX_CANDIDATES}" in err
+    # 82,598,880 candidates, under the library's default limit of 10**8; the
+    # default box at n = 2000 has C(F(2000) + 2001, 2000), a count of over
+    # 800,000 digits, and is refused before it is counted
+    for argv in ("verify --n 6 --abs --max-weight 60", "verify --n 2000 --abs"):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert f"exceed the limit of {cli._MAX_CANDIDATES}" in err and len(err) < 200
     assert cli._MAX_CANDIDATES < oracle.DEFAULT_CANDIDATE_LIMIT
 
 

@@ -85,6 +85,9 @@ def test_trace_fibonacci_example():
     assert trace.total == 143
     assert tuple(trace.sequences()) == fixture_rows("example1")
     assert trace.merged_values() == [2, 4, 7, 12, 20, 33, 54, 88, 143]
+    # the O(n^2) rows are the caller's to keep: the trace holds only its fields
+    assert trace.sequences() is not trace.sequences()
+    assert sorted(vars(trace)) == ["initial", "merged", "positions", "ties"]
 
 
 def test_trace_intermediate_row():
@@ -247,7 +250,7 @@ def test_scale_without_rows(monkeypatch):
     def no_rows(trace):
         raise AssertionError("intermediate rows were built")
 
-    monkeypatch.setattr(HuffmanTrace, "_rows", property(no_rows))
+    monkeypatch.setattr(HuffmanTrace, "sequences", no_rows)
     rng = random.Random(5)
     n = 10 ** 5
     cases = [
@@ -620,8 +623,20 @@ def test_trace_json_rejects_rows_that_do_not_replay(edit):
         trace_from_json(json.dumps(doc))
 
 
+def _reordered(value):
+    if isinstance(value, dict):
+        return {key: _reordered(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
 def test_trace_json_accepts_either_tie_policy():
     weights = (1, 1, 2, 2, 3)
     for policy in TiePolicy:
         trace = run_huffman(weights, policy)
         assert trace_from_json(trace_to_json(trace)) == trace
+        # the reader compares documents, not text: key order and indent are free
+        text = json.dumps(_reordered(json.loads(trace_to_json(trace))), indent=4)
+        assert text.startswith(f'{{\n    "total": "{trace.total}",\n    "steps": [\n        {{\n')
+        assert trace_from_json(text) == trace

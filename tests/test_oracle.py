@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,26 @@ def test_brute_force_empty_class_at_large_n():
 def test_brute_force_space_limit():
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_min(6, 0, max_weight=9, limit=10)
+    # neither the closed form's 2000 weights nor the box's exact count is built
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLargeError, match="exceed the limit of 100000000;"):
+        brute_force_min(2000, None)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_brute_force_refuses_exactly_the_boxes_past_the_limit():
+    # the bound that refuses a box before it is counted never refuses one within the limit
+    for n in range(3, 7):
+        for max_weight in (None, 1, 2, 3, 4, 5, 6):
+            total = count_sequences(n, max_weight or max(min_k_sequence(n, None)) + 2)
+            with pytest.raises(SearchSpaceTooLargeError,
+                               match=f"candidates exceed the limit of {total - 1};"):
+                brute_force_min(n, None, max_weight, limit=total - 1)
+            try:
+                report = brute_force_min(n, None, max_weight, limit=total)
+                assert report.candidates_examined == total
+            except EmptyClassError:
+                pass
 
 
 def _scan_outcome(scan, *args):

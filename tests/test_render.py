@@ -46,7 +46,7 @@ def test_rendering_builds_no_int_rows(monkeypatch):
     def no_rows(trace):
         raise AssertionError("int rows were built")
 
-    monkeypatch.setattr(HuffmanTrace, "_rows", property(no_rows))
+    monkeypatch.setattr(HuffmanTrace, "sequences", no_rows)
     trace = run_huffman(min_k_sequence(400, 7))
     assert format_trace_table(trace).count("\n") == 401
     assert "".join(_csv_chunks(trace)).count("\n") == 401

@@ -304,8 +304,9 @@ def _cmd_huffman(args) -> int:
     if args.sort:
         weights = tuple(sorted(weights))
     policy = huffman.TiePolicy(args.tie)
-    trace = huffman.run_huffman(weights, policy)
+    # each output runs the merge loop at most once, and the bare total needs none
     if args.trace:
+        trace = huffman.run_huffman(weights, policy)
         # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
         _check_output("huffman --trace", _trace_chars(trace, args.format, args.marker))
         if args.format == "json":
@@ -322,7 +323,7 @@ def _cmd_huffman(args) -> int:
         if args.codebook:
             print(format_codebook(tree), end="")
     if not (args.trace or args.tree or args.codebook):
-        print(_to_decimal(trace.total))
+        print(_to_decimal(sum(huffman.validate_weights(weights))))
     return 0
 
 

@@ -79,8 +79,11 @@ Order classes.  With p2(i), p3(i) the second and third entries of P(i):
     k-ordered             p2(i) == p3(i) for i = 0..k and
                           p2(i) <  p3(i) for i = k+1..n-3
 
-The classification only involves the value sequences, so it is independent
-of the tie policy.
+An OrderClass is named by one number, lead: how many rows open the trace
+with p2 == p3.  It is 0 for the absolutely ordered class and k+1 for the
+k-ordered class; a trace with a tie after its first strict row is
+unordered, lead None.  The classification only involves the value
+sequences, so it is independent of the tie policy.
 """
 
 from bisect import bisect_left, bisect_right
@@ -99,7 +102,6 @@ __all__ = [
     "DEFAULT_TIE_POLICY",
     "HuffmanTrace",
     "HuffmanTree",
-    "OrderKind",
     "OrderClass",
     "validate_weights",
     "run_huffman",
@@ -457,37 +459,35 @@ def is_elongated(tree: HuffmanTree) -> bool:
     return all(a < n or b < n for a, b in zip(tree.left, tree.right))
 
 
-class OrderKind(Enum):
-    ABSOLUTELY_ORDERED = "absolutely-ordered"
-    K_ORDERED = "k-ordered"
-    UNORDERED = "unordered"
-
-
 @dataclass(frozen=True)
 class OrderClass:
-    """Classification of a weight sequence by its trace order pattern."""
+    """An order class, named by lead: how many rows open its traces with a tie.
 
-    kind: OrderKind
-    k: int | None = None
+    lead is 0 for the absolutely ordered class, k+1 for the k-ordered
+    class and None for the unordered class, whose tie flags fit no single
+    pattern.
+    """
+
+    lead: int | None
 
     def __post_init__(self):
-        if self.kind is OrderKind.K_ORDERED:
-            if self.k is None or self.k < 0:
-                raise ValueError("k-ordered classification needs k >= 0")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind.value} classification carries no k")
+        if self.lead is not None and self.lead < 0:
+            raise ValueError(f"an order class needs lead >= 0 or None, "
+                             f"got {_to_decimal(self.lead)}")
 
     @classmethod
     def absolutely_ordered(cls) -> "OrderClass":
-        return cls(OrderKind.ABSOLUTELY_ORDERED)
+        return cls(0)
 
     @classmethod
     def k_ordered(cls, k: int) -> "OrderClass":
-        return cls(OrderKind.K_ORDERED, k)
+        if k < 0:
+            raise ValueError("k-ordered classification needs k >= 0")
+        return cls(k + 1)
 
     @classmethod
     def unordered(cls) -> "OrderClass":
-        return cls(OrderKind.UNORDERED)
+        return cls(None)
 
     def tie_flags(self, n: int) -> list[bool]:
         """The flags p2(i) == p3(i), i = 0..n-3, of every size-n member of this class.
@@ -495,17 +495,17 @@ class OrderClass:
         Raises ValueError when the class has no size-n members: n < 3, or
         k > n-3 for a k-ordered class.
         """
-        if self.kind is OrderKind.UNORDERED:
+        lead = self.lead
+        if lead is None:
             raise ValueError("unordered sequences share no single tie pattern")
-        lead = 0 if self.kind is OrderKind.ABSOLUTELY_ORDERED else self.k + 1
         if n < 3 or lead > n - 2:
             raise ValueError(f"the {self} class has no members of size {_to_decimal(n)}")
         return [True] * lead + [False] * (n - 2 - lead)
 
     def __str__(self) -> str:
-        if self.kind is OrderKind.K_ORDERED:
-            return f"{_to_decimal(self.k)}-ordered"
-        return self.kind.value
+        if self.lead is None:
+            return "unordered"
+        return f"{_to_decimal(self.lead - 1)}-ordered" if self.lead else "absolutely-ordered"
 
 
 def classify_trace(trace: HuffmanTrace) -> OrderClass:
@@ -515,11 +515,7 @@ def classify_trace(trace: HuffmanTrace) -> OrderClass:
         raise TooShortError(f"classification needs at least 3 weights, got {n}")
     ties = trace.ties
     lead = ties.index(False) if False in ties else len(ties)
-    if True in ties[lead:]:
-        return OrderClass.unordered()
-    if lead == 0:
-        return OrderClass.absolutely_ordered()
-    return OrderClass.k_ordered(lead - 1)
+    return OrderClass(None if True in ties[lead:] else lead)
 
 
 def classify_order(weights: Iterable[int]) -> OrderClass:

@@ -29,12 +29,17 @@ last row on the pattern have their two costs compared.  Members come out
 in lexicographic order, as in a per-tuple scan.  candidates_examined is the
 size of the box covered, C(n+max_weight-1, n), not the number of prefixes
 the walk visited.
+
+The public names are the scan brute_force_min, with brute_force_min_abs
+for the absolutely ordered class, its OracleReport, report_to_json and the
+two errors.  The elongated cost and the box size are private to the scan;
+the tests check the elongated cost against a formula of their own.
 """
 
 from dataclasses import dataclass
 import math
 
-from .huffman import OrderClass, _advance, _exact_repr, validate_weights
+from .huffman import OrderClass, _advance, _exact_repr
 from .numbers import _to_decimal
 from .theorems import _check_k, min_k_cost, min_k_sequence
 
@@ -42,8 +47,6 @@ __all__ = [
     "SearchSpaceTooLargeError",
     "EmptyClassError",
     "OracleReport",
-    "count_sequences",
-    "elongated_cost",
     "brute_force_min",
     "brute_force_min_abs",
     "report_to_json",
@@ -60,33 +63,21 @@ class EmptyClassError(ValueError):
     """Raised when no candidate belongs to the requested class (bound too small)."""
 
 
-def _check_box(n, max_weight):
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {_to_decimal(n)}")
+def _box_size(n, max_weight):
+    """The number of non-decreasing n-tuples over 1..max_weight: C(n + max_weight - 1, n)."""
     if max_weight < 1:
         raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
-
-
-def count_sequences(n: int, max_weight: int) -> int:
-    """Number of non-decreasing n-tuples over 1..max_weight: C(n + max_weight - 1, n)."""
-    _check_box(n, max_weight)
     return math.comb(n + max_weight - 1, n)
 
 
 def _elongated_cost(seq) -> int:
-    """elongated_cost of a tuple already known to be valid."""
+    """The module docstring's elongated_cost of a sorted tuple.
+
+    Every elongated tree on n leaves has the depths n-1, n-1, n-2, ..., 2,
+    1, and pairing the two deepest with the two smallest weights is optimal.
+    """
     n = len(seq)
     return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
-
-
-def elongated_cost(weights) -> int:
-    """Cost of the best elongated tree: depths n-1, n-1, n-2, ..., 2, 1.
-
-    Every elongated tree on n leaves has exactly this depth multiset, and
-    pairing the two deepest slots with the two smallest weights is optimal
-    for a sorted input.
-    """
-    return _elongated_cost(validate_weights(weights))
 
 
 def _on_pattern(n, max_weight, pattern):
@@ -153,16 +144,14 @@ def _scan_class(n, k, max_weight, limit):
     if max_weight is None:
         closed_seq = min_k_sequence(n, k)
         max_weight = max(closed_seq) + 2
-    total = count_sequences(n, max_weight)
+    total = _box_size(n, max_weight)
     if total > limit:
         raise _too_large(_to_decimal(total), limit)
-    closed_seq = closed_seq or min_k_sequence(n, k)     # an explicit box is counted first
-    closed_cost = min_k_cost(n, k)
-    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
     best = None
     best_seqs = []
     members = 0
-    for cand, cost in _on_pattern(n, max_weight, target.tie_flags(n)):
+    pattern = OrderClass(0 if k is None else k + 1).tie_flags(n)
+    for cand, cost in _on_pattern(n, max_weight, pattern):
         if cost != _elongated_cost(cand):
             continue  # no optimal tree of this sequence is elongated
         members += 1
@@ -174,6 +163,9 @@ def _scan_class(n, k, max_weight, limit):
         raise EmptyClassError(
             f"no members of the class found with weights up to {_to_decimal(max_weight)}"
         )
+    # an explicit box builds the closed form only now, for the report
+    closed_seq = closed_seq or min_k_sequence(n, k)
+    closed_cost = min_k_cost(n, k)
     return OracleReport(
         n=n,
         k=k,
@@ -202,8 +194,10 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     deterministic.  First n and k are checked as in theorems, and a box
     of more than limit tuples raises SearchSpaceTooLargeError: at once
     where C(n+w-1, n) >= 2**min(n, w-1) settles it, with w max_weight or n
-    for the default box, or else on the exact count, which an explicit
-    max_weight gets before the closed form is built.
+    for the default box, or else on the exact count.  The closed form is
+    built first only to size the default box; with an explicit max_weight
+    it is built once the walk has found a member, for the report, so an
+    empty box raises EmptyClassError without building it.
     """
     return _scan_class(n, k, max_weight, limit)
 

@@ -27,6 +27,11 @@ their weighted external path lengths have closed forms:
 The absolutely ordered class is the k-ordered definition with no tie step,
 and the k-ordered cost at k = -1 is the absolutely ordered one.  So
 min_k_sequence and min_k_cost take k=None for the absolutely ordered class.
+
+Row 0 of the Wythoff array is the Fibonacci sequence, so the closed forms
+read F(0), ..., F(m) off wythoff_row(0, m + 1).  The Lucas form in
+corollary_sequences still builds L(i) as F(i-1) + F(i+1) from that prefix,
+not from row 1, so that it checks the k = 0 closed form independently.
 """
 
 from .numbers import _to_decimal, fib
@@ -62,15 +67,6 @@ def _check_k(n: int, k: int | None) -> None:
         raise KOutOfRangeError(f"need 0 <= k <= n-3 = {_to_decimal(n - 3)}, got {_to_decimal(k)}")
 
 
-def _fibs(m: int) -> list[int]:
-    """[F(0), ..., F(m)] by a running pair."""
-    out, a, b = [], 0, 1
-    for _ in range(m + 1):
-        out.append(a)
-        a, b = b, a + b
-    return out
-
-
 def min_abs_cost(n: int) -> int:
     """Cost of the minimizing absolutely ordered sequence: min_k_cost(n, None)."""
     return min_k_cost(n, None)
@@ -85,8 +81,8 @@ def min_k_sequence(n: int, k: int | None) -> tuple[int, ...]:
     """
     _check_k(n, k)
     if k is None:
-        return tuple(_fibs(n)[1:])
-    f = _fibs(k + 2)
+        return tuple(wythoff_row(0, n + 1)[1:])
+    f = wythoff_row(0, k + 3)
     # p2 .. p(k+2) = F(1) .. F(k+1), then row F(k+2) of the Wythoff array
     return (1, *f[1:k + 2], *wythoff_row(f[k + 2], n - k - 2))
 
@@ -94,7 +90,7 @@ def min_k_sequence(n: int, k: int | None) -> tuple[int, ...]:
 def min_k_sequence_fib_form(n: int, k: int) -> tuple[int, ...]:
     """Same sequence as min_k_sequence, via pi = F(i-1) + F(i-k-3) for the tail."""
     _check_k(n, k)
-    f = _fibs(n - 1)
+    f = wythoff_row(0, n)
     # p2 .. p(k+3) = F(1) .. F(k+2)
     return (1, *f[1:k + 3], *(f[i - 1] + f[i - k - 3] for i in range(k + 4, n + 1)))
 
@@ -117,7 +113,7 @@ def corollary_sequences(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (1, F(1), ..., F(n-1)), the (n-3)-ordered one.
     """
     _check_n(n)
-    f = _fibs(n - 1)
+    f = wythoff_row(0, n)
     # L(i) = F(i-1) + F(i+1)
     lucas_form = (1, 1, *(f[i - 1] + f[i + 1] for i in range(1, n - 1)))
     return lucas_form, (1, *f[1:n])

@@ -37,11 +37,9 @@ def wythoff_row(i: int, length: int) -> list[int]:
         raise ValueError(f"row index must be nonnegative, got {_to_decimal(i)}")
     if length < 1:
         raise ValueError(f"row length must be >= 1, got {_to_decimal(length)}")
-    row = [i]
-    if length == 1:
-        return row
-    row.append(lower_wythoff(i))
-    for _ in range(length - 2):
-        row.append(row[-1] + row[-2])
+    row, a, b = [], i, lower_wythoff(i)
+    for _ in range(length):
+        row.append(a)
+        a, b = b, a + b
     return row
 

@@ -21,7 +21,8 @@ exhaustive shape search optimal_tree_cost are cross-checks that only the tests u
 
 reference_scan is the oracle's scan by its definition, through public
 calls only: a full trace and its classification for every tuple that
-enumerate_sequences yields.
+enumerate_sequences yields, and the elongated cost by the tests' own
+depth pairing, direct_elongated_cost.
 """
 
 import csv
@@ -35,7 +36,7 @@ from itertools import combinations_with_replacement
 from huffwyth.huffman import (EmptySequenceError, NotSortedError, OrderClass, TiePolicy,
                               classify_trace, run_huffman, validate_weights, _value_repr)
 from huffwyth.numbers import _to_decimal, fib
-from huffwyth.oracle import EmptyClassError, OracleReport, _check_box, elongated_cost
+from huffwyth.oracle import EmptyClassError, OracleReport
 from huffwyth.theorems import min_k_cost, min_k_sequence
 from huffwyth.wythoff import wythoff_row
 
@@ -243,9 +244,19 @@ def optimal_tree_cost(weights) -> int:
     return best
 
 
+def direct_elongated_cost(weights):
+    """Independent cost: depths n-1, n-1, n-2, ..., 1 paired with the weights."""
+    n = len(weights)
+    depths = [n - 1] + [n - i + 1 for i in range(2, n + 1)]
+    return sum(d * w for d, w in zip(depths, weights))
+
+
 def enumerate_sequences(n, max_weight):
     """Yield all non-decreasing n-tuples over 1..max_weight in lexicographic order."""
-    _check_box(n, max_weight)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if max_weight < 1:
+        raise ValueError(f"need max_weight >= 1, got {max_weight}")
     return combinations_with_replacement(range(1, max_weight + 1), n)
 
 
@@ -262,7 +273,7 @@ def reference_scan(n, k, max_weight):
         candidates += 1
         trace = run_huffman(cand)
         cost = sum(trace.merged)
-        if classify_trace(trace) != target or cost != elongated_cost(cand):
+        if classify_trace(trace) != target or cost != direct_elongated_cost(cand):
             continue
         members += 1
         if best is None or cost < best:

@@ -275,6 +275,17 @@ def test_huffman_codebook_single_leaf(capsys):
     assert rc == 0 and out == "0 9 -\n"
 
 
+def test_huffman_runs_the_merge_loop_once_per_output(capsys, monkeypatch):
+    # the bare total is the weights' sum; the trace and the tree each run the loop once
+    calls, values = [], huffman._values
+    monkeypatch.setattr(huffman, "_values", lambda seq: calls.append(seq) or values(seq))
+    for flags, loops, want in (((), 0, "7\n"), (("--trace", "--format", "csv"), 1, "3,7,1,7\n"),
+                               (("--tree", "--codebook"), 1, "3 3 1\n")):
+        calls.clear()
+        rc, out, _ = run(capsys, "huffman", "--weights", "1,1,2,3", *flags)
+        assert (rc, len(calls)) == (0, loops) and out.endswith(want), flags
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # 3000 equal weights make a 9 MB trace, far more than a pipe holds
     src = os.path.dirname(os.path.dirname(cli.__file__))

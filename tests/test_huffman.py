@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from dataclasses import FrozenInstanceError, fields
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -456,6 +457,20 @@ def test_tie_flags_are_the_class_pattern():
             target.tie_flags(n)
 
 
+@given(st.one_of(weight_seqs, tie_heavy_seqs), st.sampled_from(list(TiePolicy)))
+def test_tie_flags_follow_from_the_sorted_values(weights, policy):
+    # steps consume the values in sorted order, and a value not yet made at
+    # row q is at least p1 + p2 > p2, so row q ties exactly when sorted
+    # values 2q+1 and 2q+2 are equal: no merge loop needed
+    trace = run_huffman(weights, policy)
+    sv = sorted(trace.initial + trace.merged)
+    flags = [sv[2 * q + 1] == sv[2 * q + 2] for q in range(len(weights) - 2)]
+    assert list(trace.ties) == flags
+    if len(weights) >= 3:
+        lead = len(list(takewhile(bool, flags)))
+        assert classify_trace(trace) == OrderClass(None if any(flags[lead:]) else lead)
+
+
 @st.composite
 def seqs_and_patterns(draw):
     """A sorted input and n-2 expected tie flags: a class's pattern or any."""
@@ -517,8 +532,14 @@ def test_order_class_str():
 def test_order_class_validation():
     with pytest.raises(ValueError):
         OrderClass.k_ordered(-1)
-    with pytest.raises(ValueError):
-        OrderClass(OrderClass.unordered().kind, 3)
+    with pytest.raises(ValueError, match="needs lead >= 0 or None, got -1"):
+        OrderClass(-1)
+    # a class is one number: how many rows open its traces with a tie
+    assert [f.name for f in fields(OrderClass)] == ["lead"]
+    assert OrderClass.absolutely_ordered() == OrderClass(0)
+    assert OrderClass.k_ordered(3) == OrderClass(4) != OrderClass.k_ordered(2)
+    assert OrderClass.unordered() == OrderClass(None)
+    assert len({OrderClass.absolutely_ordered(), OrderClass.k_ordered(0), OrderClass(1)}) == 2
 
 
 # ---------------------------------------------------------------- inequality

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,11 @@ from huffwyth.oracle import (
     SearchSpaceTooLargeError,
     brute_force_min,
     brute_force_min_abs,
-    count_sequences,
-    elongated_cost,
     report_to_json,
 )
 from huffwyth.theorems import min_abs_cost, min_k_cost, min_k_sequence
-from reference_huffman import TooLargeError, enumerate_sequences, optimal_tree_cost, reference_scan
+from reference_huffman import (TooLargeError, direct_elongated_cost, enumerate_sequences,
+                               optimal_tree_cost, reference_scan)
 
 small_seqs = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=8
@@ -36,7 +36,7 @@ def test_enumerate_single():
 def test_enumerate_count_and_order():
     seqs = list(enumerate_sequences(3, 3))
     assert len(seqs) == 10
-    assert len(seqs) == count_sequences(3, 3) == math.comb(5, 3)
+    assert len(seqs) == math.comb(5, 3)
     assert seqs == sorted(seqs)
     assert all(list(s) == sorted(s) for s in seqs)
 
@@ -46,9 +46,7 @@ def test_enumerate_validation():
                                    (3, 0, "need max_weight >= 1, got 0")):
         with pytest.raises(ValueError, match=message):
             list(enumerate_sequences(n, max_weight))
-        with pytest.raises(ValueError, match=message):
-            count_sequences(n, max_weight)
-    # the scan counts its candidates first, so it reports the same error
+    # the scan counts its candidates first, so it reports the same max_weight error
     with pytest.raises(ValueError, match="need max_weight >= 1, got -5"):
         brute_force_min(4, 0, max_weight=-5)
 
@@ -62,9 +60,9 @@ def test_enumerate_matches_binomial(n, w):
 
 def test_elongated_cost_formula():
     # n=4: depths 3 3 2 1
-    assert elongated_cost((1, 1, 2, 3)) == 3 + 3 + 4 + 3
-    assert elongated_cost((5,)) == 0
-    assert elongated_cost((1, 1)) == 2
+    assert direct_elongated_cost((1, 1, 2, 3)) == 3 + 3 + 4 + 3
+    assert direct_elongated_cost((5,)) == 0
+    assert direct_elongated_cost((1, 1)) == 2
 
 
 def test_huffman_cost_is_merge_sum():
@@ -75,7 +73,7 @@ def test_huffman_cost_is_merge_sum():
 @given(small_seqs)
 def test_elongated_cost_bounds_huffman_cost(weights):
     # the forced elongated shape can never beat the optimal tree
-    assert elongated_cost(weights) >= sum(run_huffman(weights).merged)
+    assert direct_elongated_cost(weights) >= sum(run_huffman(weights).merged)
 
 
 # ------------------------------------------------------------ optimal_tree_cost
@@ -90,7 +88,7 @@ def test_optimal_tree_cost_prefers_balance():
     # equal weights want the balanced shape (cost 16), not the chain
     # with depths 3 3 2 1 (cost 18)
     assert optimal_tree_cost((2, 2, 2, 2)) == 16
-    assert elongated_cost((2, 2, 2, 2)) == 18
+    assert direct_elongated_cost((2, 2, 2, 2)) == 18
 
 
 def test_optimal_tree_cost_rejects_large():
@@ -154,6 +152,19 @@ def test_brute_force_empty_class_at_large_n():
             brute_force_min(3000, k, max_weight=max_weight)
 
 
+def test_empty_explicit_box_builds_no_closed_form():
+    # the closed form of n = 20,000 takes about 19 MB; an explicit box
+    # builds it only for the report, after the walk finds a member
+    tracemalloc.start()
+    try:
+        with pytest.raises(EmptyClassError, match="with weights up to 2$"):
+            brute_force_min(20_000, None, max_weight=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_brute_force_space_limit():
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_min(6, 0, max_weight=9, limit=10)
@@ -168,7 +179,8 @@ def test_brute_force_refuses_exactly_the_boxes_past_the_limit():
     # the bound that refuses a box before it is counted never refuses one within the limit
     for n in range(3, 7):
         for max_weight in (None, 1, 2, 3, 4, 5, 6):
-            total = count_sequences(n, max_weight or max(min_k_sequence(n, None)) + 2)
+            w = max_weight or max(min_k_sequence(n, None)) + 2
+            total = math.comb(n + w - 1, n)
             with pytest.raises(SearchSpaceTooLargeError,
                                match=f"candidates exceed the limit of {total - 1};"):
                 brute_force_min(n, None, max_weight, limit=total - 1)

@@ -19,14 +19,7 @@ from huffwyth.theorems import (
     min_k_sequence,
     min_k_sequence_fib_form,
 )
-from reference_huffman import check_elongated_inequality, is_left_sided
-
-
-def direct_elongated_cost(weights):
-    """Independent cost: depths n-1, n-1, n-2, ..., 1 paired with the weights."""
-    n = len(weights)
-    depths = [n - 1] + [n - i + 1 for i in range(2, n + 1)]
-    return sum(d * w for d, w in zip(depths, weights))
+from reference_huffman import check_elongated_inequality, direct_elongated_cost, is_left_sided
 
 
 # ------------------------------------------------------------ constructions

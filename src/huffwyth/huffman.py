@@ -89,7 +89,7 @@ sequences, so it is independent of the tie policy.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import le, mul
+from operator import le
 from typing import Iterable
 
 from .numbers import _from_decimal, _to_decimal
@@ -343,10 +343,11 @@ class HuffmanTree:
     """A binary tree on n leaves held in three flat tuples.
 
     Node i < n is leaf i; node n+q is internal, with children left[q] and
-    right[q].  weights[v] is the weight of node v.  Every child must have a
-    lower index than its parent, as in each tree build_tree returns, so the
-    root is the last node.  Equality, hashing, repr and the walks below work
-    on the tuples without recursion, at any height.
+    right[q].  weights[v] is the weight of node v, and an internal node's
+    weight is its children's sum.  Every child must have a lower index than
+    its parent, as in each tree build_tree returns, so the root is the last
+    node.  Equality, hashing, repr and the walks below work on the tuples
+    without recursion, at any height.
     """
 
     weights: tuple[int, ...]
@@ -427,8 +428,11 @@ def leaf_depths(tree: HuffmanTree) -> list[int]:
 
 
 def wepl(tree: HuffmanTree) -> int:
-    """Weighted external path length: sum over leaves of depth * weight."""
-    return sum(map(mul, _depths(tree)[:tree.size], tree.weights))
+    """Weighted external path length: sum over leaves of depth * weight.
+
+    Summed, the internal weights count each leaf weight once per ancestor.
+    """
+    return sum(tree.weights[tree.size:])
 
 
 def codebook(tree: HuffmanTree) -> list[tuple[int, str]]:

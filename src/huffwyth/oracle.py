@@ -7,33 +7,27 @@ together with all sequences attaining it.  As in theorems, k=None selects
 the absolutely ordered class.
 
 Membership is decided policy-independently.  For an elongated tree of size
-n the leaf depth multiset is forced (n-1, n-1, n-2, ..., 2, 1), so the best
-elongated tree costs
+n the leaf depth multiset is forced (n-1, n-1, n-2, ..., 2, 1).  With
+s_j = p1 + ... + pj, the best elongated tree costs s_2 + s_3 + ... + s_n,
+which is (n-1) * p1 + sum over i = 2..n of (n-i+1) * pi, and P admits an
+elongated optimal tree exactly when this equals the Huffman cost: the sum
+of the engine's merged values, as each weight counts once per merge above
+its leaf.  No tree is built.
 
-    elongated_cost(P) = (n-1) * p1 + sum over i = 2..n of (n-i+1) * pi
-
-and P admits an elongated optimal tree exactly when this equals the true
-Huffman cost.  The Huffman cost is taken from the merge engine as the sum
-of all merged values (each weight contributes once per merge containing it,
-i.e. once per level above its leaf), giving a cost path that never touches
-the tree builder.
-
-The class is decided first, by a walk over prefixes.  The walk sets p1,
-p2, ... in lexicographic order, keeping an explicit stack of the merge
-loop's state for each prefix length, and resumes the engine's value loop
-(merged values and tie flags only) each time one more weight is known.
-The loop runs every step whose reads lie in the known prefix.  A prefix
+The class is decided first, by a walk over prefixes.  It sets p1, p2, ...
+in lexicographic order, keeps the merge loop's state, s_j and
+s_2 + ... + s_j on an explicit stack for each prefix length j, and resumes
+the engine's value loop each time one more weight is known.  A prefix
 whose rows leave the class's tie pattern p2(i) == p3(i) is dropped with
-every tuple of the box that extends it, and only tuples that reach the
-last row on the pattern have their two costs compared.  Members come out
-in lexicographic order, as in a per-tuple scan.  candidates_examined is the
-size of the box covered, C(n+max_weight-1, n), not the number of prefixes
-the walk visited.
+every tuple of the box that extends it.  A tuple that reaches the last
+row on the pattern is a member when its merged values sum to
+s_2 + ... + s_n, and only members leave the walk, in lexicographic order.
+candidates_examined is the size of the box covered, C(n+max_weight-1, n),
+not the number of prefixes the walk visited.
 
 The public names are the scan brute_force_min, with brute_force_min_abs
 for the absolutely ordered class, its OracleReport, report_to_json and the
-two errors.  The elongated cost and the box size are private to the scan;
-the tests check the elongated cost against a formula of their own.
+two errors.  The tests check the elongated cost by a depth pairing.
 """
 
 from dataclasses import dataclass
@@ -41,7 +35,7 @@ import math
 
 from .huffman import OrderClass, _advance, _exact_repr
 from .numbers import _to_decimal
-from .theorems import _check_k, min_k_cost, min_k_sequence
+from .theorems import _check_int, _check_k, min_k_cost, min_k_sequence
 
 __all__ = [
     "SearchSpaceTooLargeError",
@@ -63,46 +57,32 @@ class EmptyClassError(ValueError):
     """Raised when no candidate belongs to the requested class (bound too small)."""
 
 
-def _box_size(n, max_weight):
-    """The number of non-decreasing n-tuples over 1..max_weight: C(n + max_weight - 1, n)."""
-    if max_weight < 1:
-        raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
-    return math.comb(n + max_weight - 1, n)
+def _members(n, max_weight, pattern):
+    """Yield (tuple, cost) for each class member in the box, walked as the module docstring says.
 
-
-def _elongated_cost(seq) -> int:
-    """The module docstring's elongated_cost of a sorted tuple.
-
-    Every elongated tree on n leaves has the depths n-1, n-1, n-2, ..., 2,
-    1, and pairing the two deepest with the two smallest weights is optimal.
-    """
-    n = len(seq)
-    return (n - 1) * seq[0] + sum((n - i + 1) * seq[i - 1] for i in range(2, n + 1))
-
-
-def _on_pattern(n, max_weight, pattern):
-    """Yield (tuple, sum of its merged values) for each box tuple whose tie flags are pattern.
-
-    The tuples come in lexicographic order.  The walk sets p1, p2, ... one
-    at a time and resumes the merge loop on each longer prefix; a prefix
-    whose rows leave the pattern is dropped with every tuple extending it.
-    heads[d] is the loop's state before p(d+1) is known.
+    heads[d] is the loop's state before p(d+1) is known.  Once the loop
+    accepts a prefix of length d, sums[d] = p1 + ... + pd and
+    chain[d] = s2 + ... + sd, at d = n the elongated cost of the tuple.
     """
     seq = [1] * n
     merged = [0] * (n - 1)
     heads = [(0, 0, 0)] * n
+    sums = [0] * (n + 1)
+    chain = [0] * (n + 1)
     d = 0
     while True:
         q, i, j = heads[d]
         state = _advance(seq, d + 1, merged, q, i, j, pattern)
         if state is not None:
-            if d == n - 1:
-                yield tuple(seq), sum(merged)
-            else:
+            s = sums[d + 1] = sums[d] + seq[d]
+            cost = chain[d + 1] = chain[d] + s if d else 0
+            if d < n - 1:
                 d += 1
                 heads[d] = state
                 seq[d] = seq[d - 1]
                 continue
+            if sum(merged) == cost:
+                yield tuple(seq), cost
         # the next prefix in lexicographic order
         while seq[d] == max_weight:
             if d == 0:
@@ -136,6 +116,9 @@ def _too_large(count, limit):
 
 def _scan_class(n, k, max_weight, limit):
     _check_k(n, k)
+    if max_weight is not None:
+        _check_int("max_weight", max_weight)
+    _check_int("limit", limit)
     # C(n+w-1, n) >= 2**min(n, w-1), and the default box has w >= F(n-1) + 2 >= n
     least = min(n, n if max_weight is None else max_weight) - 1
     if least >= limit.bit_length():
@@ -144,16 +127,16 @@ def _scan_class(n, k, max_weight, limit):
     if max_weight is None:
         closed_seq = min_k_sequence(n, k)
         max_weight = max(closed_seq) + 2
-    total = _box_size(n, max_weight)
+    if max_weight < 1:
+        raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
+    total = math.comb(n + max_weight - 1, n)
     if total > limit:
         raise _too_large(_to_decimal(total), limit)
     best = None
     best_seqs = []
     members = 0
     pattern = OrderClass(0 if k is None else k + 1).tie_flags(n)
-    for cand, cost in _on_pattern(n, max_weight, pattern):
-        if cost != _elongated_cost(cand):
-            continue  # no optimal tree of this sequence is elongated
+    for cand, cost in _members(n, max_weight, pattern):
         members += 1
         if best is None or cost < best:
             best, best_seqs = cost, [cand]
@@ -184,20 +167,24 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     """Search the k-ordered class of size n and compare against the closed form.
 
     k=None searches the absolutely ordered class.  The box is every
-    non-decreasing tuple over 1..max_weight, and its
-    C(n+max_weight-1, n) tuples are all covered: a prefix walk drives the
-    engine's value loop one weight at a time and drops each prefix at its
-    first row off the class's tie pattern, with all its extensions.
-    max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
-    heuristic, not a proven bound: a cheaper member with a larger weight
-    would go unseen.  The walk is sequential and the report is
-    deterministic.  First n and k are checked as in theorems, and a box
-    of more than limit tuples raises SearchSpaceTooLargeError: at once
-    where C(n+w-1, n) >= 2**min(n, w-1) settles it, with w max_weight or n
-    for the default box, or else on the exact count.  The closed form is
-    built first only to size the default box; with an explicit max_weight
-    it is built once the walk has found a member, for the report, so an
-    empty box raises EmptyClassError without building it.
+    non-decreasing tuple over 1..max_weight, and its C(n+max_weight-1, n)
+    tuples are all covered: a prefix walk drives the engine's value loop
+    one weight at a time, drops each prefix at its first row off the
+    class's tie pattern with all its extensions, carries the sums
+    s_j = p1 + ... + pj to read a full tuple's elongated cost
+    s_2 + ... + s_n off its stack, and yields only members.  max_weight
+    defaults to max(min_k_sequence(n, k)) + 2.  That box is a heuristic,
+    not a proven bound: a cheaper member with a larger weight would go
+    unseen.  The walk is sequential and the report is deterministic.  n, k,
+    max_weight and limit must be ints, not bools (k and max_weight may be
+    None), or ValueError names the argument.  n and k are checked as in
+    theorems, and a box of more than limit tuples raises
+    SearchSpaceTooLargeError: at once where C(n+w-1, n) >= 2**min(n, w-1)
+    settles it, with w max_weight or n for the default box, or else on the
+    exact count.  The closed form is built first only to size the default
+    box; with an explicit max_weight it is built once the walk has found a
+    member, for the report, so an empty box raises EmptyClassError without
+    building it.
     """
     return _scan_class(n, k, max_weight, limit)
 

@@ -56,15 +56,24 @@ class KOutOfRangeError(ValueError):
     """Raised when k falls outside 0..n-3."""
 
 
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_n(n: int) -> None:
+    _check_int("n", n)
     if n < 3:
         raise SizeTooSmallError(f"need n >= 3, got {_to_decimal(n)}")
 
 
 def _check_k(n: int, k: int | None) -> None:
     _check_n(n)
-    if k is not None and not 0 <= k <= n - 3:
-        raise KOutOfRangeError(f"need 0 <= k <= n-3 = {_to_decimal(n - 3)}, got {_to_decimal(k)}")
+    if k is not None:
+        _check_int("k", k)
+        if not 0 <= k <= n - 3:
+            raise KOutOfRangeError(
+                f"need 0 <= k <= n-3 = {_to_decimal(n - 3)}, got {_to_decimal(k)}")
 
 
 def min_abs_cost(n: int) -> int:

@@ -161,7 +161,7 @@ def test_error_messages_beyond_limit():
         (lambda: validate_weights((3, 1)), "weights must be non-decreasing, got 3 before 1"),
         (lambda: validate_weights((1, "2")), "weights must be positive integers, got '2'"),
         (lambda: min_k_cost(10, 8), "need 0 <= k <= n-3 = 7, got 8"),
-        (lambda: min_k_cost(10, -0.5), "need 0 <= k <= n-3 = 7, got -0.5"),
+        (lambda: min_k_cost(10, -0.5), "k must be an int, got -0.5"),
         (lambda: fib(-1.5), "Fibonacci index must be nonnegative, got -1.5"),
     ):
         assert error(call)[1] == message

@@ -5,6 +5,7 @@ import random
 import time
 from dataclasses import FrozenInstanceError, fields
 from itertools import takewhile
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,11 +321,17 @@ def test_wepl_examples():
     assert wepl(build_tree(lucas_weights)) == 309
 
 
+def _depth_weight_sum(tree):
+    """The wepl by its definition, leaf depths times leaf weights, not read off the internal nodes."""
+    return sum(map(mul, leaf_depths(tree), leaf_weights(tree)))
+
+
 @given(weight_seqs, st.sampled_from(list(TiePolicy)))
 def test_merge_sum_identity(weights, policy):
-    # the wepl equals the sum of all merged values of the trace
+    # the sum of all merged values of the trace is the leaves' depth-weight sum
     trace = run_huffman(weights, policy)
-    assert wepl(build_tree(weights, policy)) == sum(trace.merged_values())
+    tree = build_tree(weights, policy)
+    assert sum(trace.merged_values()) == _depth_weight_sum(tree) == wepl(tree)
 
 
 def test_merge_sum_identity_bulk():
@@ -336,13 +343,15 @@ def test_merge_sum_identity_bulk():
         weights = tuple(sorted(rng.randint(1, 50) for _ in range(n)))
         for policy in TiePolicy:
             trace = run_huffman(weights, policy)
-            assert wepl(build_tree(weights, policy)) == sum(trace.merged_values())
+            tree = build_tree(weights, policy)
+            assert sum(trace.merged_values()) == _depth_weight_sum(tree) == wepl(tree)
 
 
 @given(tie_seqs)
 def test_tie_policy_invariance_of_cost(weights):
-    before = wepl(build_tree(weights, TiePolicy.MERGED_BEFORE_EQUALS))
-    after = wepl(build_tree(weights, TiePolicy.MERGED_AFTER_EQUALS))
+    # both trees hold the same merged values, so compare the leaves' depths instead
+    before = _depth_weight_sum(build_tree(weights, TiePolicy.MERGED_BEFORE_EQUALS))
+    after = _depth_weight_sum(build_tree(weights, TiePolicy.MERGED_AFTER_EQUALS))
     assert before == after
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,13 @@ def test_elongated_cost_formula():
 def test_huffman_cost_is_merge_sum():
     weights = (1, 1, 2, 3, 5)
     assert sum(run_huffman(weights).merged) == 25 == wepl(build_tree(weights))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10 ** 12), min_size=1, max_size=40)
+       .map(lambda ws: tuple(sorted(ws))))
+def test_elongated_cost_is_the_sum_of_prefix_sums(weights):
+    # the walk's formula: with s_j = p1 + ... + pj the elongated cost is s_2 + ... + s_n
+    assert sum(list(accumulate(weights))[1:]) == direct_elongated_cost(weights)
 
 
 @given(small_seqs)
@@ -208,6 +216,34 @@ def test_brute_force_matches_reference_scan(n):
         for max_weight in (None,) if n == 7 else (1, 2, 3, None, default + 3):
             expected = _scan_outcome(reference_scan, n, k, max_weight or default)
             assert _scan_outcome(brute_force_min, n, k, max_weight) == expected, (n, k, max_weight)
+
+
+@given(st.integers(min_value=3, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from([None, *range(n - 2)]),
+                        st.integers(min_value=1, max_value=8))))
+def test_brute_force_matches_reference_scan_on_random_boxes(case):
+    # every class at n = 3..6 over boxes 1..8, empty classes included
+    n, k, max_weight = case
+    expected = _scan_outcome(reference_scan, n, k, max_weight)
+    assert _scan_outcome(brute_force_min, n, k, max_weight) == expected
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((True, None), {}, "n"),
+    ((5.0, 0), {}, "n"),
+    ((5, True), {}, "k"),
+    ((5, 1.0), {}, "k"),
+    ((4, 0), {"max_weight": True}, "max_weight"),
+    ((4, 0), {"max_weight": 2.0}, "max_weight"),
+    ((4, 0), {"limit": False}, "limit"),
+    ((4, 0), {"limit": 1e9}, "limit"),
+    ((4, 0), {"limit": None}, "limit"),
+])
+def test_arguments_must_be_ints(args, kwargs, name):
+    # a bool is an int to Python: k = True used to scan the k = 1 class
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got ") as excinfo:
+        brute_force_min(*args, **kwargs)
+    assert excinfo.type is ValueError
 
 
 def test_brute_force_deterministic():

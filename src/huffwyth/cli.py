@@ -37,8 +37,8 @@ MARKER = "*"
 # these keep each command near a second.
 _MAX_DIGITS = 200_000            # in any one printed number
 _MAX_OUTPUT = 20_000_000         # characters printed in all
-# The oracle's slowest class covers about 450,000 candidates a second
-# (Python 3.11, 2 vCPUs), so this keeps verify near a second too.
+# The oracle's slowest box walk (n = 3, abs) covers about 900,000 candidates
+# a second (Python 3.11, 2 vCPUs), so this keeps verify near half a second.
 _MAX_CANDIDATES = 500_000        # verify's default --limit
 
 

@@ -201,15 +201,17 @@ def _advance(seq, known, merged, q, i, j, pattern=None, ties=None):
     return q, i, j
 
 
-def _values(seq):
-    """Run the two-queue loop on a validated sorted tuple.
+def _run(weights, tie_policy):
+    """Check the tie policy and the weights, then run the two-queue loop on them.
 
-    Returns (merged, ties): each step's merged value and the flags
-    p2(i) == p3(i), i = 0..n-3.
+    Returns the validated tuple, each step's merged value and the flags p2(i) == p3(i).
     """
+    if not isinstance(tie_policy, TiePolicy):
+        raise ValueError(f"tie_policy must be a TiePolicy, got {_value_repr(tie_policy)}")
+    seq = validate_weights(weights)
     merged, ties = [0] * (len(seq) - 1), []
     _advance(seq, len(seq), merged, 0, 0, 0, None, ties)
-    return merged, ties
+    return seq, merged, ties
 
 
 def _value_repr(value) -> str:
@@ -332,8 +334,7 @@ def run_huffman(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLI
     input.  The weights must already be sorted; callers wanting a
     sort-first behaviour sort before calling.
     """
-    seq = validate_weights(weights)
-    merged, ties = _values(seq)
+    seq, merged, ties = _run(weights, tie_policy)
     # the positions are derived from the policy on first read
     return HuffmanTrace(seq, tuple(merged), tie_policy, tuple(ties))
 
@@ -380,9 +381,9 @@ def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLIC
     order, except that a lone leaf always becomes the right child; its
     weight is the trace's merged value.
     """
-    seq = validate_weights(weights)
+    seq, merged, _ = _run(weights, tie_policy)
     n = len(seq)
-    values = seq + tuple(_values(seq)[0])
+    values = seq + tuple(merged)
     # the stable sort of the module docstring; the root sorts last
     before = tie_policy is TiePolicy.MERGED_BEFORE_EQUALS
     nodes = [*range(2 * n - 2, n - 1, -1), *range(n)] if before else range(2 * n - 1)

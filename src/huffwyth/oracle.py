@@ -9,21 +9,28 @@ the absolutely ordered class.
 Membership is decided policy-independently.  For an elongated tree of size
 n the leaf depth multiset is forced (n-1, n-1, n-2, ..., 2, 1).  With
 s_j = p1 + ... + pj, the best elongated tree costs s_2 + s_3 + ... + s_n,
-which is (n-1) * p1 + sum over i = 2..n of (n-i+1) * pi, and P admits an
-elongated optimal tree exactly when this equals the Huffman cost: the sum
-of the engine's merged values, as each weight counts once per merge above
-its leaf.  No tree is built.
+and P admits an elongated optimal tree exactly when this equals the
+Huffman cost: the sum of the engine's merged values, as each weight counts
+once per merge above its leaf.  No tree is built.
 
-The class is decided first, by a walk over prefixes.  It sets p1, p2, ...
-in lexicographic order, keeps the merge loop's state, s_j and
-s_2 + ... + s_j on an explicit stack for each prefix length j, and resumes
-the engine's value loop each time one more weight is known.  A prefix
-whose rows leave the class's tie pattern p2(i) == p3(i) is dropped with
-every tuple of the box that extends it.  A tuple that reaches the last
-row on the pattern is a member when its merged values sum to
-s_2 + ... + s_n, and only members leave the walk, in lexicographic order.
-candidates_examined is the size of the box covered, C(n+max_weight-1, n),
-not the number of prefixes the walk visited.
+The chain lemma: a member has s(j-2) <= p_j for j = 3..n.  The elongated
+tree puts the subtree of weight s(j-2) one level below the leaf p_j.  If
+s(j-2) > p_j, swapping the two lowers the cost by s(j-2) - p_j, so the
+Huffman cost is below s_2 + ... + s_n and P is not a member.
+
+The class is decided by a walk over prefixes.  It sets p1, p2, ... in
+lexicographic order, keeps the merge loop's state, s_j and s_2 + ... + s_j
+on an explicit stack for each prefix length j, and resumes the engine's
+value loop each time one more weight is known.  A prefix whose rows leave
+the class's tie pattern p2(i) == p3(i) is dropped with every tuple of the
+box that extends it.  The last weight starts at the lemma's bound
+max(p(n-1), s(n-2)).  Starting every p_j at its bound is faster still, but
+waits until the benchmark bounds its sample store (one entry per pass):
+there it raised peak RSS 45%.  A tuple that reaches the last row on the
+pattern is a member when its merged values sum to s_2 + ... + s_n, and
+only members leave the walk, in lexicographic order.  candidates_examined
+is the size of the box covered, C(n+max_weight-1, n), not the number of
+prefixes the walk visited.
 
 The public names are the scan brute_force_min, with brute_force_min_abs
 for the absolutely ordered class, its OracleReport, report_to_json and the
@@ -79,9 +86,12 @@ def _members(n, max_weight, pattern):
             if d < n - 1:
                 d += 1
                 heads[d] = state
-                seq[d] = seq[d - 1]
-                continue
-            if sum(merged) == cost:
+                # the last weight starts at the chain lemma's bound s(n-2)
+                seq[d] = max(seq[d - 1], sums[d - 1]) if d == n - 1 else seq[d - 1]
+                if seq[d] <= max_weight:
+                    continue
+                d -= 1
+            elif sum(merged) == cost:
                 yield tuple(seq), cost
         # the next prefix in lexicographic order
         while seq[d] == max_weight:
@@ -168,17 +178,16 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
 
     k=None searches the absolutely ordered class.  The box is every
     non-decreasing tuple over 1..max_weight, and its C(n+max_weight-1, n)
-    tuples are all covered: a prefix walk drives the engine's value loop
-    one weight at a time, drops each prefix at its first row off the
-    class's tie pattern with all its extensions, carries the sums
-    s_j = p1 + ... + pj to read a full tuple's elongated cost
-    s_2 + ... + s_n off its stack, and yields only members.  max_weight
-    defaults to max(min_k_sequence(n, k)) + 2.  That box is a heuristic,
-    not a proven bound: a cheaper member with a larger weight would go
-    unseen.  The walk is sequential and the report is deterministic.  n, k,
-    max_weight and limit must be ints, not bools (k and max_weight may be
-    None), or ValueError names the argument.  n and k are checked as in
-    theorems, and a box of more than limit tuples raises
+    tuples are all covered by the module docstring's walk: it drops each
+    prefix at its first row off the class's tie pattern with all its
+    extensions, and each full tuple whose last weight p_n is below
+    s(n-2) = p1 + ... + p(n-2), as the chain lemma proves it is no member.
+    max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
+    heuristic, not a proven bound: a cheaper member with a larger weight
+    would go unseen.  The walk is sequential and the report is
+    deterministic.  n, k, max_weight and limit must be ints, not bools (k
+    and max_weight may be None), or ValueError names the argument.  n and k
+    are checked as in theorems, and a box of more than limit tuples raises
     SearchSpaceTooLargeError: at once where C(n+w-1, n) >= 2**min(n, w-1)
     settles it, with w max_weight or n for the default box, or else on the
     exact count.  The closed form is built first only to size the default

@@ -277,8 +277,8 @@ def test_huffman_codebook_single_leaf(capsys):
 
 def test_huffman_runs_the_merge_loop_once_per_output(capsys, monkeypatch):
     # the bare total is the weights' sum; the trace and the tree each run the loop once
-    calls, values = [], huffman._values
-    monkeypatch.setattr(huffman, "_values", lambda seq: calls.append(seq) or values(seq))
+    calls, loop = [], huffman._run
+    monkeypatch.setattr(huffman, "_run", lambda *args: calls.append(args) or loop(*args))
     for flags, loops, want in (((), 0, "7\n"), (("--trace", "--format", "csv"), 1, "3,7,1,7\n"),
                                (("--tree", "--codebook"), 1, "3 3 1\n")):
         calls.clear()

@@ -33,7 +33,7 @@ from huffwyth.huffman import (
     validate_weights,
     wepl,
     _advance,
-    _values,
+    _run,
 )
 from huffwyth.theorems import min_k_sequence
 from fixture_tables import STEMS, fixture_rows
@@ -126,6 +126,16 @@ def test_default_policy_is_before_equals():
     assert DEFAULT_TIE_POLICY is TiePolicy.MERGED_BEFORE_EQUALS
     weights = (1, 1, 2, 2)
     assert run_huffman(weights) == run_huffman(weights, TiePolicy.MERGED_BEFORE_EQUALS)
+
+
+@pytest.mark.parametrize("build", [run_huffman, build_tree])
+def test_tie_policy_must_be_a_tie_policy(build):
+    # the policy's value once passed: run_huffman kept it as the positions,
+    # so trace_to_json failed, and build_tree built the MERGED_AFTER_EQUALS tree
+    for policy in ("before", None, 0):
+        with pytest.raises(ValueError, match="^tie_policy must be a TiePolicy, got ") as excinfo:
+            build((1, 1, 2, 2, 4), policy)
+        assert excinfo.type is ValueError
 
 
 def test_validation_errors():
@@ -498,7 +508,7 @@ def seqs_and_patterns(draw):
 def test_merge_with_pattern_stops_only_off_pattern(case):
     seq, pattern = case
     n = len(seq)
-    full, ties = _values(seq)
+    _, full, ties = _run(seq, DEFAULT_TIE_POLICY)
     merged = [0] * (n - 1)
     state = _advance(seq, n, merged, 0, 0, 0, pattern)
     if ties != pattern:
@@ -529,7 +539,7 @@ def test_advance_one_leaf_at_a_time_matches_the_full_run(case, stale):
         assert state == _advance(seq, n, full, 0, 0, 0, want, full_ties)
         assert merged == full and ties == full_ties
         if want is None:
-            assert (merged, ties) == _values(seq)
+            assert (seq, merged, ties) == _run(seq, DEFAULT_TIE_POLICY)
 
 
 def test_order_class_str():

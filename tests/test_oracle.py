@@ -7,7 +7,8 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huffwyth.huffman import build_tree, run_huffman, wepl
+from huffwyth import oracle
+from huffwyth.huffman import _advance, build_tree, run_huffman, wepl
 from huffwyth.oracle import (
     EmptyClassError,
     SearchSpaceTooLargeError,
@@ -82,6 +83,25 @@ def test_elongated_cost_is_the_sum_of_prefix_sums(weights):
 def test_elongated_cost_bounds_huffman_cost(weights):
     # the forced elongated shape can never beat the optimal tree
     assert direct_elongated_cost(weights) >= sum(run_huffman(weights).merged)
+
+
+@st.composite
+def near_chain_seqs(draw):
+    # each p_j near s(j-2), the chain lemma's bound, so that members are common
+    seq = sorted(draw(st.lists(st.integers(1, 5), min_size=2, max_size=2)))
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        seq.append(max(seq[-1], sum(seq[:-1]) + draw(st.integers(min_value=-2, max_value=2))))
+    return tuple(seq)
+
+
+@given(st.one_of(near_chain_seqs(), st.lists(st.integers(1, 60), min_size=3, max_size=12)
+                 .map(lambda ws: tuple(sorted(ws)))))
+@settings(max_examples=300)
+def test_members_meet_the_chain_lemma(weights):
+    # the walk starts p_n at s(n-2), as a member has s(j-2) <= p_j for j = 3..n
+    sums = list(accumulate(weights))
+    if sum(run_huffman(weights).merged) == sum(sums[1:]):
+        assert all(sums[j - 3] <= weights[j - 1] for j in range(3, len(weights) + 1))
 
 
 # ------------------------------------------------------------ optimal_tree_cost
@@ -226,6 +246,16 @@ def test_brute_force_matches_reference_scan_on_random_boxes(case):
     n, k, max_weight = case
     expected = _scan_outcome(reference_scan, n, k, max_weight)
     assert _scan_outcome(brute_force_min, n, k, max_weight) == expected
+
+
+def test_walk_skips_last_weights_below_the_chain_bound(monkeypatch):
+    # the last weight starts at s(n-2): 3117 and 57,739 resumptions without that start
+    calls = []
+    monkeypatch.setattr(oracle, "_advance", lambda *args: calls.append(1) or _advance(*args))
+    for n, expected in ((6, 1770), (7, 26539)):
+        calls.clear()
+        brute_force_min(n, None)
+        assert len(calls) == expected, n
 
 
 @pytest.mark.parametrize("args, kwargs, name", [

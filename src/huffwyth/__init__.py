@@ -12,7 +12,11 @@ The package ties together three strands:
     brute-force oracle that verifies those closed forms by exhaustive
     enumeration (oracle).
 
-All arithmetic is exact; no floats appear anywhere.
+All arithmetic is exact; no floats appear anywhere.  An int argument that
+is a bool or not an int raises ValueError("<name> must be an int, got
+<value>"), and one below its least value ValueError("need <name> >= <least>,
+got <value>"); n and k raise the subclasses SizeTooSmallError and
+KOutOfRangeError of theorems for their ranges.
 """
 
 from . import huffman, numbers, oracle, theorems, wythoff

@@ -27,7 +27,7 @@ from importlib import resources
 from itertools import chain
 
 from . import huffman, oracle, theorems, wythoff
-from .numbers import _from_decimal, _to_decimal, fib, lucas
+from .numbers import _check_int, _from_decimal, _to_decimal, fib, lucas
 
 __all__ = ["main", "entrypoint"]
 
@@ -341,8 +341,7 @@ def main(argv=None) -> int:
         elif args.command == "lucas":
             print(_to_decimal(lucas(args.n)))
         elif args.command == "wythoff":
-            if args.cols < 1:
-                raise UsageError(f"--cols must be >= 1, got {_to_decimal(args.cols)}")
+            _check_int("--cols", args.cols, 1)
             start = 0 if args.generalized else 2
             row = wythoff.wythoff_row(args.row, start + args.cols)
             print(" ".join(map(_to_decimal, row[start:])))

@@ -92,7 +92,7 @@ from enum import Enum
 from operator import le
 from typing import Iterable
 
-from .numbers import _from_decimal, _to_decimal
+from .numbers import _check_int, _from_decimal, _to_decimal
 
 __all__ = [
     "EmptySequenceError",
@@ -476,9 +476,8 @@ class OrderClass:
     lead: int | None
 
     def __post_init__(self):
-        if self.lead is not None and self.lead < 0:
-            raise ValueError(f"an order class needs lead >= 0 or None, "
-                             f"got {_to_decimal(self.lead)}")
+        if self.lead is not None:
+            _check_int("lead", self.lead, 0)
 
     @classmethod
     def absolutely_ordered(cls) -> "OrderClass":
@@ -486,8 +485,7 @@ class OrderClass:
 
     @classmethod
     def k_ordered(cls, k: int) -> "OrderClass":
-        if k < 0:
-            raise ValueError("k-ordered classification needs k >= 0")
+        _check_int("k", k, 0)
         return cls(k + 1)
 
     @classmethod
@@ -503,6 +501,7 @@ class OrderClass:
         lead = self.lead
         if lead is None:
             raise ValueError("unordered sequences share no single tie pattern")
+        _check_int("n", n)
         if n < 3 or lead > n - 2:
             raise ValueError(f"the {self} class has no members of size {_to_decimal(n)}")
         return [True] * lead + [False] * (n - 2 - lead)
@@ -534,7 +533,7 @@ def classify_order(weights: Iterable[int]) -> OrderClass:
     return classify_trace(run_huffman(weights))
 
 
-def _json_chunks(trace: HuffmanTrace, indent: int | None):
+def _json_chunks(trace: HuffmanTrace, indent: int | str | None):
     """Yield the text of json.dumps(document, indent=indent) for a trace.
 
     The head comes first, then one chunk per step, then the tail.  Every
@@ -546,7 +545,8 @@ def _json_chunks(trace: HuffmanTrace, indent: int | None):
         pad = [""] * 5
         sep = [", "] * 5
     else:
-        pad = ["\n" + " " * (indent * depth) for depth in range(5)]
+        unit = indent if isinstance(indent, str) else " " * indent
+        pad = ["\n" + unit * depth for depth in range(5)]
         sep = ["," + p for p in pad]
     rows = trace._replay(tuple('"%s"' % _to_decimal(v) for v in trace.initial),
                          tuple('"%s"' % _to_decimal(v) for v in trace.merged))
@@ -561,7 +561,7 @@ def _json_chunks(trace: HuffmanTrace, indent: int | None):
     yield f'{pad[1] if trace.merged else ""}]{sep[1]}"total": {prev[0]}{pad[0]}}}'
 
 
-def trace_to_json(trace: HuffmanTrace, indent: int | None = None) -> str:
+def trace_to_json(trace: HuffmanTrace, indent: int | str | None = None) -> str:
     """Serialize a trace to JSON with weights as decimal strings.
 
     The document is {"initial": P(0), "steps": [{"i": i, "input": P(i-1),

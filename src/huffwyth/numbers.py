@@ -28,15 +28,13 @@ __all__ = ["fib", "lucas", "lower_wythoff"]
 
 
 def _fib_pair(i: int) -> tuple[int, int]:
-    """Return (F(i), F(i+1)) by fast doubling on (F, L), two big products a bit.
+    """Return (F(i), F(i+1)), int i >= 0, by fast doubling on (F, L): two big products a bit.
 
     Over the bits of i from the top, k doubles by F(2k) = F(k) L(k) and
     L(2k) = L(k)^2 - 2 (-1)^k, and a set bit adds one by
     F(k+1) = (F(k) + L(k)) / 2 and L(k+1) = (5 F(k) + L(k)) / 2, with
     L(0) = 2.  At the end F(i+1) = (F(i) + L(i)) / 2.
     """
-    if i < 0:
-        raise ValueError(f"Fibonacci index must be nonnegative, got {_to_decimal(i)}")
     fk, lk, odd = 0, 2, False      # F(k), L(k) and whether k is odd, for k = 0
     for bit in bin(i)[2:]:
         fk, lk = fk * lk, lk * lk + (2 if odd else -2)
@@ -48,6 +46,7 @@ def _fib_pair(i: int) -> tuple[int, int]:
 
 def fib(i: int) -> int:
     """Return the i-th Fibonacci number (F(0) = 0, F(1) = 1)."""
+    _check_int("Fibonacci index", i, 0)
     return _fib_pair(i)[0]
 
 
@@ -56,8 +55,7 @@ def lucas(i: int) -> int:
 
     L(i) = F(i-1) + F(i+1) = 2 F(i+1) - F(i).
     """
-    if i < 1:
-        raise ValueError(f"Lucas index must be >= 1, got {_to_decimal(i)}")
+    _check_int("Lucas index", i, 1)
     a, b = _fib_pair(i)
     return 2 * b - a
 
@@ -69,8 +67,7 @@ def lower_wythoff(n: int) -> int:
     terms of the golden ratio.  Computed integer-only via the identity in
     the module docstring.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {_to_decimal(n)}")
+    _check_int("index", n, 0)
     m = n + 1
     return (m + math.isqrt(5 * m * m)) // 2
 
@@ -88,6 +85,14 @@ def _to_decimal(x) -> str:
     k = x.bit_length() * 3 // 20    # about half the digits, so 0 < x // 10**k
     hi, lo = divmod(x, 10 ** k)
     return _to_decimal(hi) + _to_decimal(lo).zfill(k)
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an int other than a bool, and >= least if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {_to_decimal(value)}")
 
 
 def _from_decimal(text) -> int:

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import math
 
 from .huffman import OrderClass, _advance, _exact_repr
-from .numbers import _to_decimal
-from .theorems import _check_int, _check_k, min_k_cost, min_k_sequence
+from .numbers import _check_int, _to_decimal
+from .theorems import _check_k, min_k_cost, min_k_sequence
 
 __all__ = [
     "SearchSpaceTooLargeError",
@@ -127,7 +127,7 @@ def _too_large(count, limit):
 def _scan_class(n, k, max_weight, limit):
     _check_k(n, k)
     if max_weight is not None:
-        _check_int("max_weight", max_weight)
+        _check_int("max_weight", max_weight, 1)
     _check_int("limit", limit)
     # C(n+w-1, n) >= 2**min(n, w-1), and the default box has w >= F(n-1) + 2 >= n
     least = min(n, n if max_weight is None else max_weight) - 1
@@ -137,8 +137,6 @@ def _scan_class(n, k, max_weight, limit):
     if max_weight is None:
         closed_seq = min_k_sequence(n, k)
         max_weight = max(closed_seq) + 2
-    if max_weight < 1:
-        raise ValueError(f"need max_weight >= 1, got {_to_decimal(max_weight)}")
     total = math.comb(n + max_weight - 1, n)
     if total > limit:
         raise _too_large(_to_decimal(total), limit)
@@ -185,9 +183,8 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     max_weight defaults to max(min_k_sequence(n, k)) + 2.  That box is a
     heuristic, not a proven bound: a cheaper member with a larger weight
     would go unseen.  The walk is sequential and the report is
-    deterministic.  n, k, max_weight and limit must be ints, not bools (k
-    and max_weight may be None), or ValueError names the argument.  n and k
-    are checked as in theorems, and a box of more than limit tuples raises
+    deterministic.  n and k are checked as in theorems, max_weight must be
+    at least 1, and a box of more than limit tuples raises
     SearchSpaceTooLargeError: at once where C(n+w-1, n) >= 2**min(n, w-1)
     settles it, with w max_weight or n for the default box, or else on the
     exact count.  The closed form is built first only to size the default

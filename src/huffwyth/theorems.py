@@ -34,7 +34,7 @@ corollary_sequences still builds L(i) as F(i-1) + F(i+1) from that prefix,
 not from row 1, so that it checks the k = 0 closed form independently.
 """
 
-from .numbers import _to_decimal, fib
+from .numbers import _check_int, _to_decimal, fib
 from .wythoff import wythoff_row
 
 __all__ = [
@@ -56,19 +56,10 @@ class KOutOfRangeError(ValueError):
     """Raised when k falls outside 0..n-3."""
 
 
-def _check_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def _check_n(n: int) -> None:
+def _check_k(n: int, k: int | None) -> None:
     _check_int("n", n)
     if n < 3:
         raise SizeTooSmallError(f"need n >= 3, got {_to_decimal(n)}")
-
-
-def _check_k(n: int, k: int | None) -> None:
-    _check_n(n)
     if k is not None:
         _check_int("k", k)
         if not 0 <= k <= n - 3:
@@ -99,6 +90,7 @@ def min_k_sequence(n: int, k: int | None) -> tuple[int, ...]:
 def min_k_sequence_fib_form(n: int, k: int) -> tuple[int, ...]:
     """Same sequence as min_k_sequence, via pi = F(i-1) + F(i-k-3) for the tail."""
     _check_k(n, k)
+    _check_int("k", k)
     f = wythoff_row(0, n)
     # p2 .. p(k+3) = F(1) .. F(k+2)
     return (1, *f[1:k + 3], *(f[i - 1] + f[i - k - 3] for i in range(k + 4, n + 1)))
@@ -121,7 +113,7 @@ def corollary_sequences(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Returns (1, 1, L(1), ..., L(n-2)), the 0-ordered minimizer, and
     (1, F(1), ..., F(n-1)), the (n-3)-ordered one.
     """
-    _check_n(n)
+    _check_k(n, None)
     f = wythoff_row(0, n)
     # L(i) = F(i-1) + F(i+1)
     lucas_form = (1, 1, *(f[i - 1] + f[i + 1] for i in range(1, n - 1)))

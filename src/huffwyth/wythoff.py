@@ -13,17 +13,15 @@ Fibonacci sequence and row 1 the Lucas sequence.  Every positive integer
 appears exactly once in columns 2+.
 """
 
-from .numbers import _fib_pair, _to_decimal, lower_wythoff
+from .numbers import _check_int, _fib_pair, lower_wythoff
 
 __all__ = ["wythoff_entry", "wythoff_row"]
 
 
 def wythoff_entry(i: int, j: int) -> int:
     """Return w[i][j] of the generalized Wythoff array (row i >= 0, column j >= 0)."""
-    if i < 0:
-        raise ValueError(f"row index must be nonnegative, got {_to_decimal(i)}")
-    if j < 0:
-        raise ValueError(f"column index must be nonnegative, got {_to_decimal(j)}")
+    _check_int("row index", i, 0)
+    _check_int("column index", j, 0)
     if j == 0:
         return i
     # Every row obeys the Fibonacci rule, so w[i][j] = F(j-1) w[i][0] + F(j) w[i][1].
@@ -33,10 +31,8 @@ def wythoff_entry(i: int, j: int) -> int:
 
 def wythoff_row(i: int, length: int) -> list[int]:
     """Return [w[i][0], ..., w[i][length-1]] for row i; length must be >= 1."""
-    if i < 0:
-        raise ValueError(f"row index must be nonnegative, got {_to_decimal(i)}")
-    if length < 1:
-        raise ValueError(f"row length must be >= 1, got {_to_decimal(length)}")
+    _check_int("row index", i, 0)
+    _check_int("row length", length, 1)
     row, a, b = [], i, lower_wythoff(i)
     for _ in range(length):
         row.append(a)

@@ -15,8 +15,8 @@ from dataclasses import fields, make_dataclass
 
 from huffwyth import cli
 from huffwyth.cli import _csv_chunks, format_trace_table
-from huffwyth.huffman import (NotSortedError, build_tree, run_huffman, trace_from_json,
-                              trace_to_json, validate_weights)
+from huffwyth.huffman import (NotSortedError, OrderClass, build_tree, run_huffman,
+                              trace_from_json, trace_to_json, validate_weights)
 from huffwyth.numbers import _from_decimal, _to_decimal, fib
 from huffwyth.oracle import OracleReport, SearchSpaceTooLargeError, brute_force_min, report_to_json
 from huffwyth.wythoff import wythoff_row
@@ -151,6 +151,9 @@ def test_error_messages_beyond_limit():
         (lambda: min_k_cost(-huge, None), SizeTooSmallError),
         (lambda: min_k_cost(10, huge), KOutOfRangeError),
         (lambda: brute_force_min(4, 0, max_weight=10 ** 2000), SearchSpaceTooLargeError),
+        (lambda: fib(-huge), ValueError),
+        (lambda: wythoff_row(-huge, 1), ValueError),
+        (lambda: OrderClass(-huge), ValueError),
     ):
         with digit_limit(0):
             expected = error(call)
@@ -162,7 +165,7 @@ def test_error_messages_beyond_limit():
         (lambda: validate_weights((1, "2")), "weights must be positive integers, got '2'"),
         (lambda: min_k_cost(10, 8), "need 0 <= k <= n-3 = 7, got 8"),
         (lambda: min_k_cost(10, -0.5), "k must be an int, got -0.5"),
-        (lambda: fib(-1.5), "Fibonacci index must be nonnegative, got -1.5"),
+        (lambda: fib(-1.5), "Fibonacci index must be an int, got -1.5"),
     ):
         assert error(call)[1] == message
 

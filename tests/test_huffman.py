@@ -551,7 +551,7 @@ def test_order_class_str():
 def test_order_class_validation():
     with pytest.raises(ValueError):
         OrderClass.k_ordered(-1)
-    with pytest.raises(ValueError, match="needs lead >= 0 or None, got -1"):
+    with pytest.raises(ValueError, match="need lead >= 0, got -1"):
         OrderClass(-1)
     # a class is one number: how many rows open its traces with a tie
     assert [f.name for f in fields(OrderClass)] == ["lead"]

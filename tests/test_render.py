@@ -22,7 +22,7 @@ def assert_renders_like_reference(trace, marker, indent):
 
 
 @given(render_weights, st.sampled_from(list(TiePolicy)), st.text(max_size=3),
-       st.sampled_from([None, 0, 1, 2, 4]))
+       st.sampled_from([None, 0, 1, 2, 4, "\t"]))
 @example((4,), TiePolicy.MERGED_BEFORE_EQUALS, "*", None)
 @example((4,), TiePolicy.MERGED_AFTER_EQUALS, "*", 2)
 @example((2, 2), TiePolicy.MERGED_BEFORE_EQUALS, "<-", 2)

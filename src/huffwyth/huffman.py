@@ -67,11 +67,11 @@ first (MERGED_AFTER_EQUALS).  No node is due before it exists, and a block
 of equal merged values is complete when first reached, as a later merge
 sums two entries of at least its value.  The list is two sorted runs, so
 the sort is one merge pass.  A child's index is always below its parent's,
-so one reverse pass gives every depth, and the walks keep an explicit
-stack: no tree operation recurses, at any height.  When a merge pairs a
-leaf with a subtree, the leaf becomes the right child; a chain of such
-merges therefore grows a left-sided tree, one where the right node of
-every sibling pair is a leaf.
+so one reverse pass gives every depth or codeword, and the walks keep an
+explicit stack: no tree operation recurses, at any height.  When a merge
+pairs a leaf with a subtree, the leaf becomes the right child; a chain of
+such merges therefore grows a left-sided tree, one where the right node
+of every sibling pair is a leaf.
 
 Order classes.  With p2(i), p3(i) the second and third entries of P(i):
 
@@ -82,8 +82,10 @@ Order classes.  With p2(i), p3(i) the second and third entries of P(i):
 An OrderClass is named by one number, lead: how many rows open the trace
 with p2 == p3.  It is 0 for the absolutely ordered class and k+1 for the
 k-ordered class; a trace with a tie after its first strict row is
-unordered, lead None.  The classification only involves the value
-sequences, so it is independent of the tie policy.
+unordered, lead None.  So a member's row q ties exactly when q < lead,
+and that is what the engine checks when the oracle hands it a lead.  The
+classification only involves the value sequences, so it is independent
+of the tie policy.
 """
 
 from bisect import bisect_left, bisect_right
@@ -160,18 +162,18 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
-def _advance(seq, known, merged, q, i, j, pattern=None, ties=None):
+def _advance(seq, known, merged, q, i, j, lead=None, ties=None):
     """Resume the two-queue loop on the leaves seq[:known] of a sorted list.
 
     The loop is at step q+1: merged[:q] holds the values of the steps run
     so far, and seq[i:] and merged[j:q] are the two queues.  merged has n-1
     slots.  Runs each further step that reads no leaf past seq[:known],
-    storing its merged value and, without a pattern, appending its flag
+    storing its merged value and, without a lead, appending its flag
     p2 == p3 to ties, and returns the new (q, i, j): just before the first
-    step that would read seq[known], or after step n-1.  Given a pattern of
-    n-2 expected flags, it returns None at the first row whose flag
-    differs.  Entries of seq past known are read, if at all, only by a
-    step that is then undone.
+    step that would read seq[known], or after step n-1.  Given a class's
+    lead, it returns None at the first row q whose flag is not q < lead.
+    Entries of seq past known are read, if at all, only by a step that is
+    then undone.
     """
     n = len(seq)
     stop = known if known < n else n + 1     # with every leaf known, no read is past them
@@ -192,9 +194,9 @@ def _advance(seq, known, merged, q, i, j, pattern=None, ties=None):
         if q < flagged:
             # b is at most either head, so p2 == p3 when a head equals it
             tie = i < n and seq[i] == b or j < q and merged[j] == b
-            if pattern is None:
+            if lead is None:
                 ties.append(tie)
-            elif tie != pattern[q]:
+            elif tie != (q < lead):
                 return None
         merged[q] = a + b
         q += 1
@@ -442,16 +444,12 @@ def codebook(tree: HuffmanTree) -> list[tuple[int, str]]:
     Left edges emit '0', right edges '1'.  A single-leaf tree gets the
     empty codeword.
     """
-    n, left, right = tree.size, tree.left, tree.right
-    out, stack = [], [(len(tree.weights) - 1, "")]
-    while stack:
-        v, code = stack.pop()
-        if v < n:
-            out.append((len(out), code))
-        else:
-            stack.append((right[v - n], code + "1"))
-            stack.append((left[v - n], code + "0"))
-    return out
+    code = [""] * len(tree.weights)
+    parents = range(len(tree.weights) - 1, tree.size - 1, -1)
+    for v, a, b in zip(parents, reversed(tree.left), reversed(tree.right)):
+        # a parent's code is dropped once its children have theirs
+        code[a], code[b], code[v] = code[v] + "0", code[v] + "1", None
+    return list(enumerate([code[v] for v in _leaves(tree)]))
 
 
 def is_elongated(tree: HuffmanTree) -> bool:
@@ -478,33 +476,6 @@ class OrderClass:
     def __post_init__(self):
         if self.lead is not None:
             _check_int("lead", self.lead, 0)
-
-    @classmethod
-    def absolutely_ordered(cls) -> "OrderClass":
-        return cls(0)
-
-    @classmethod
-    def k_ordered(cls, k: int) -> "OrderClass":
-        _check_int("k", k, 0)
-        return cls(k + 1)
-
-    @classmethod
-    def unordered(cls) -> "OrderClass":
-        return cls(None)
-
-    def tie_flags(self, n: int) -> list[bool]:
-        """The flags p2(i) == p3(i), i = 0..n-3, of every size-n member of this class.
-
-        Raises ValueError when the class has no size-n members: n < 3, or
-        k > n-3 for a k-ordered class.
-        """
-        lead = self.lead
-        if lead is None:
-            raise ValueError("unordered sequences share no single tie pattern")
-        _check_int("n", n)
-        if n < 3 or lead > n - 2:
-            raise ValueError(f"the {self} class has no members of size {_to_decimal(n)}")
-        return [True] * lead + [False] * (n - 2 - lead)
 
     def __str__(self) -> str:
         if self.lead is None:

@@ -26,7 +26,7 @@ the class's tie pattern p2(i) == p3(i) is dropped with every tuple of the
 box that extends it.  The last weight starts at the lemma's bound
 max(p(n-1), s(n-2)).  Starting every p_j at its bound is faster still, but
 waits until the benchmark bounds its sample store (one entry per pass):
-there it raised peak RSS 45%.  A tuple that reaches the last row on the
+there it raised peak RSS 90%.  A tuple that reaches the last row on the
 pattern is a member when its merged values sum to s_2 + ... + s_n, and
 only members leave the walk, in lexicographic order.  candidates_examined
 is the size of the box covered, C(n+max_weight-1, n), not the number of
@@ -40,7 +40,7 @@ two errors.  The tests check the elongated cost by a depth pairing.
 from dataclasses import dataclass
 import math
 
-from .huffman import OrderClass, _advance, _exact_repr
+from .huffman import _advance, _exact_repr
 from .numbers import _check_int, _to_decimal
 from .theorems import _check_k, min_k_cost, min_k_sequence
 
@@ -64,8 +64,8 @@ class EmptyClassError(ValueError):
     """Raised when no candidate belongs to the requested class (bound too small)."""
 
 
-def _members(n, max_weight, pattern):
-    """Yield (tuple, cost) for each class member in the box, walked as the module docstring says.
+def _members(n, max_weight, lead):
+    """Yield (tuple, cost) for each member of OrderClass(lead) in the box, walked as above.
 
     heads[d] is the loop's state before p(d+1) is known.  Once the loop
     accepts a prefix of length d, sums[d] = p1 + ... + pd and
@@ -79,7 +79,7 @@ def _members(n, max_weight, pattern):
     d = 0
     while True:
         q, i, j = heads[d]
-        state = _advance(seq, d + 1, merged, q, i, j, pattern)
+        state = _advance(seq, d + 1, merged, q, i, j, lead)
         if state is not None:
             s = sums[d + 1] = sums[d] + seq[d]
             cost = chain[d + 1] = chain[d] + s if d else 0
@@ -143,8 +143,7 @@ def _scan_class(n, k, max_weight, limit):
     best = None
     best_seqs = []
     members = 0
-    pattern = OrderClass(0 if k is None else k + 1).tie_flags(n)
-    for cand, cost in _members(n, max_weight, pattern):
+    for cand, cost in _members(n, max_weight, 0 if k is None else k + 1):
         members += 1
         if best is None or cost < best:
             best, best_seqs = cost, [cand]

@@ -266,7 +266,7 @@ def reference_scan(n, k, max_weight):
     Every candidate gets a full trace; it is a member when its
     classification is the class and its Huffman cost is the elongated cost.
     """
-    target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
+    target = OrderClass(0 if k is None else k + 1)
     candidates = members = 0
     best, best_seqs = None, []
     for cand in enumerate_sequences(n, max_weight):

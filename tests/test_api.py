@@ -38,8 +38,6 @@ INT_ARGUMENTS = [
     _int_argument("wythoff_row-i", lambda v: wythoff_row(v, 3), "row index", 0),
     _int_argument("wythoff_row-length", lambda v: wythoff_row(2, v), "row length", 1),
     _int_argument("OrderClass-lead", OrderClass, "lead", 0, takes_none=True),
-    _int_argument("k_ordered-k", OrderClass.k_ordered, "k", 0),
-    _int_argument("tie_flags-n", OrderClass(1).tie_flags, "n"),
     _int_argument("min_k_sequence-n", lambda v: min_k_sequence(v, None), "n", 3, SizeTooSmallError),
     _int_argument("min_k_sequence-k", lambda v: min_k_sequence(5, v), "k", 0, KOutOfRangeError,
                   takes_none=True),

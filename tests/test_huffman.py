@@ -276,7 +276,7 @@ def test_scale_without_rows(monkeypatch):
         cls = classify_trace(trace)
         tree = build_tree(weights, policy)
         assert wepl(tree) == sum(trace.merged)
-    assert cls == OrderClass.absolutely_ordered()
+    assert cls == OrderClass(0)
     n = len(weights)
     again = build_tree(weights, policy)
     assert tree == again and hash(tree) == hash(again)
@@ -430,18 +430,19 @@ def test_elongated_but_not_left_sided():
 # ---------------------------------------------------------------- classification
 
 def test_classify_absolutely_ordered():
-    assert classify_order(FIB10) == OrderClass.absolutely_ordered()
+    assert classify_order(FIB10) == OrderClass(0)
 
 
 def test_classify_k_ordered_examples():
-    assert classify_order((1, 1, 1, 2, 4, 6, 10, 16, 26, 42)) == OrderClass.k_ordered(1)
-    assert classify_order((1, 1, 1, 2, 3, 5, 8, 13, 21, 34)) == OrderClass.k_ordered(7)
-    assert classify_order((1, 1, 1, 3, 4, 7, 11, 18, 29, 47)) == OrderClass.k_ordered(0)
+    # the k-ordered class is OrderClass(k + 1)
+    assert classify_order((1, 1, 1, 2, 4, 6, 10, 16, 26, 42)) == OrderClass(2)
+    assert classify_order((1, 1, 1, 2, 3, 5, 8, 13, 21, 34)) == OrderClass(8)
+    assert classify_order((1, 1, 1, 3, 4, 7, 11, 18, 29, 47)) == OrderClass(1)
 
 
 def test_classify_unordered():
     # strict at step 0, tie at step 1: not a k-ordered pattern
-    assert classify_order((1, 1, 2, 2)) == OrderClass.unordered()
+    assert classify_order((1, 1, 2, 2)) == OrderClass(None)
 
 
 def test_classify_too_short():
@@ -460,20 +461,22 @@ def test_classify_policy_independent():
     inner()
 
 
-def test_tie_flags_are_the_class_pattern():
-    for stem in STEMS:
-        weights = fixture_rows(stem)[0]
-        trace = run_huffman(weights)
-        assert list(trace.ties) == classify_trace(trace).tie_flags(len(weights))
-    assert OrderClass.k_ordered(1).tie_flags(5) == [True, True, False]
-    assert OrderClass.k_ordered(2).tie_flags(5) == [True, True, True]
-    with pytest.raises(ValueError):
-        OrderClass.unordered().tie_flags(5)
-    # no members of that size: n < 3, or k > n-3
-    for target, n in ((OrderClass.k_ordered(5), 3), (OrderClass.k_ordered(0), 2),
-                      (OrderClass.absolutely_ordered(), 2)):
-        with pytest.raises(ValueError):
-            target.tie_flags(n)
+def _class_flags(n, lead):
+    """The tie flags of every size-n trace in the class named by lead."""
+    return (True,) * lead + (False,) * (n - 2 - lead)
+
+
+@given(st.one_of(weight_seqs, tie_heavy_seqs, st.sampled_from([fixture_rows(s)[0] for s in STEMS]))
+       .filter(lambda ws: len(ws) >= 3))
+def test_tie_flags_are_the_class_pattern(weights):
+    # lead opening ties, then strict rows; an unordered trace fits no lead
+    n = len(weights)
+    trace = run_huffman(weights)
+    lead = classify_trace(trace).lead
+    if lead is None:
+        assert all(trace.ties != _class_flags(n, other) for other in range(n - 1))
+    else:
+        assert trace.ties == _class_flags(n, lead)
 
 
 @given(st.one_of(weight_seqs, tie_heavy_seqs), st.sampled_from(list(TiePolicy)))
@@ -491,43 +494,38 @@ def test_tie_flags_follow_from_the_sorted_values(weights, policy):
 
 
 @st.composite
-def seqs_and_patterns(draw):
-    """A sorted input and n-2 expected tie flags: a class's pattern or any."""
+def seqs_and_leads(draw):
+    """A sorted input and the lead of a class with members of its size: 0..n-2."""
     top = draw(st.sampled_from([4, 10**12]))
     seq = tuple(sorted(draw(st.lists(st.integers(1, top), min_size=1, max_size=12))))
-    rows = max(len(seq) - 2, 0)
-    if rows and draw(st.booleans()):
-        k = draw(st.sampled_from([None, *range(rows)]))
-        target = OrderClass.absolutely_ordered() if k is None else OrderClass.k_ordered(k)
-        return seq, target.tie_flags(len(seq))
-    return seq, draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    return seq, draw(st.integers(0, max(len(seq) - 2, 0)))
 
 
-@given(seqs_and_patterns())
+@given(seqs_and_leads())
 @settings(max_examples=500)
 def test_merge_with_pattern_stops_only_off_pattern(case):
-    seq, pattern = case
+    seq, lead = case
     n = len(seq)
     _, full, ties = _run(seq, DEFAULT_TIE_POLICY)
     merged = [0] * (n - 1)
-    state = _advance(seq, n, merged, 0, 0, 0, pattern)
-    if ties != pattern:
-        assert state is None
-        # it stops at the first row off the pattern, having run the rows before it
-        off = next(t for t, (tie, want) in enumerate(zip(ties, pattern)) if tie != want)
-        assert merged == full[:off] + [0] * (n - 1 - off)
-    else:
+    state = _advance(seq, n, merged, 0, 0, 0, lead)
+    off = next((q for q, tie in enumerate(ties) if tie != (q < lead)), None)
+    if off is None:
         assert state is not None and merged == full
+    else:
+        assert state is None
+        # it stops at the first row off the class, having run the rows before it
+        assert merged == full[:off] + [0] * (n - 1 - off)
 
 
-@given(seqs_and_patterns(), st.lists(st.integers(1, 10), min_size=12, max_size=12))
+@given(seqs_and_leads(), st.lists(st.integers(1, 10), min_size=12, max_size=12))
 @settings(max_examples=500)
 def test_advance_one_leaf_at_a_time_matches_the_full_run(case, stale):
     # the oracle's walk resumes the loop as each leaf becomes known, over a
     # list whose entries past the known prefix are left from other tuples
-    seq, pattern = case
+    seq, lead = case
     n = len(seq)
-    for want in (None, pattern):
+    for want in (None, lead):
         work, merged, ties = stale[:n], [0] * (n - 1), []
         state = (0, 0, 0)
         for known in range(1, n + 1):
@@ -543,22 +541,18 @@ def test_advance_one_leaf_at_a_time_matches_the_full_run(case, stale):
 
 
 def test_order_class_str():
-    assert str(OrderClass.absolutely_ordered()) == "absolutely-ordered"
-    assert str(OrderClass.k_ordered(4)) == "4-ordered"
-    assert str(OrderClass.unordered()) == "unordered"
+    assert str(OrderClass(0)) == "absolutely-ordered"
+    assert str(OrderClass(5)) == "4-ordered"
+    assert str(OrderClass(None)) == "unordered"
 
 
 def test_order_class_validation():
-    with pytest.raises(ValueError):
-        OrderClass.k_ordered(-1)
-    with pytest.raises(ValueError, match="need lead >= 0, got -1"):
-        OrderClass(-1)
-    # a class is one number: how many rows open its traces with a tie
+    # a class is one number: how many rows open its traces with a tie; the
+    # range check on lead is a row of tests/test_api.py::test_int_argument_rule
     assert [f.name for f in fields(OrderClass)] == ["lead"]
-    assert OrderClass.absolutely_ordered() == OrderClass(0)
-    assert OrderClass.k_ordered(3) == OrderClass(4) != OrderClass.k_ordered(2)
-    assert OrderClass.unordered() == OrderClass(None)
-    assert len({OrderClass.absolutely_ordered(), OrderClass.k_ordered(0), OrderClass(1)}) == 2
+    assert OrderClass(4) == OrderClass(4) != OrderClass(3)
+    assert OrderClass(None) == OrderClass(None) != OrderClass(0)
+    assert len({OrderClass(0), OrderClass(1), OrderClass(1), OrderClass(None)}) == 3
 
 
 # ---------------------------------------------------------------- inequality

@@ -57,11 +57,6 @@ def test_fib_pair_matches_three_product_doubling():
         assert _fib_pair(i) == _three_product_pair(i)
 
 
-def test_fib_rejects_negative():
-    with pytest.raises(ValueError):
-        fib(-1)
-
-
 def test_lucas_small_values():
     assert [lucas(i) for i in range(1, 9)] == [1, 3, 4, 7, 11, 18, 29, 47]
 
@@ -78,13 +73,6 @@ def test_lucas_recurrence():
         assert vals[i] == vals[i - 1] + vals[i - 2]
 
 
-def test_lucas_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lucas(0)
-    with pytest.raises(ValueError):
-        lucas(-3)
-
-
 def test_lucas_equals_fib_sum():
     # L(i) = F(i-1) + F(i+1) pins both indexings to each other
     for i in range(1, 60):
@@ -94,11 +82,6 @@ def test_lucas_equals_fib_sum():
 def test_lower_wythoff_small_values():
     expected = [1, 3, 4, 6, 8, 9, 11, 12, 14, 16, 17, 19, 21, 22]
     assert [lower_wythoff(n) for n in range(14)] == expected
-
-
-def test_lower_wythoff_rejects_negative():
-    with pytest.raises(ValueError):
-        lower_wythoff(-1)
 
 
 def test_lower_wythoff_is_floor_of_golden_multiple():

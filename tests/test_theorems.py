@@ -120,10 +120,10 @@ def test_k_interpolates_between_classes():
 
 def test_constructed_sequences_classify_into_their_class():
     for n in range(3, 31):
-        assert classify_order(min_k_sequence(n, None)) == OrderClass.absolutely_ordered()
+        assert classify_order(min_k_sequence(n, None)) == OrderClass(0)
     for n in range(3, 26):
         for k in range(0, n - 2):
-            assert classify_order(min_k_sequence(n, k)) == OrderClass.k_ordered(k), (n, k)
+            assert classify_order(min_k_sequence(n, k)) == OrderClass(k + 1), (n, k)
 
 
 def test_constructed_sequences_build_elongated_left_sided_trees():

@@ -23,15 +23,12 @@ output limits.
 import argparse
 import os
 import sys
-from importlib import resources
 from itertools import chain
 
 from . import huffman, oracle, theorems, wythoff
 from .numbers import _check_int, _from_decimal, _to_decimal, fib, lucas
 
 __all__ = ["main", "entrypoint"]
-
-MARKER = "*"
 
 # Making the text of one number costs about the square of its length, so
 # these keep each command near a second.
@@ -67,26 +64,6 @@ def parse_weights(text: str) -> tuple[int, ...]:
         raise UsageError(f"malformed weight list: {text!r}") from None
 
 
-def _table_chunks(trace, marker):
-    """Yield format_trace_table's text, one row at a time."""
-    rows = trace.text_rows()
-    yield "step | sequence\n   0 | " + " ".join(next(rows)) + "\n"
-    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
-        if len(row) > 1:
-            row = list(row)
-            row[pos - 1] += marker
-        yield f"{i:>4} | " + " ".join(row) + "\n"
-
-
-def format_trace_table(trace, marker: str = MARKER) -> str:
-    """Render a trace as the canonical table, one row per intermediate sequence.
-
-    The merged value of each step carries a marker suffix at the position
-    where the tie policy inserted it.
-    """
-    return "".join(_table_chunks(trace, marker))
-
-
 def _csv_chunks(trace):
     """Yield a trace's CSV rows: step, merged, pos, weights.
 
@@ -116,7 +93,26 @@ def format_codebook(tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+MARKER = "*"    # follows each step's merged value, as in the paper's tables
+
+
+def _table_chunks(trace):
+    """Yield a trace's table, one row per intermediate sequence, as the fixtures hold it.
+
+    The merged value of each step carries MARKER at the position where the
+    tie policy inserted it.
+    """
+    rows = trace.text_rows()
+    yield "step | sequence\n   0 | " + " ".join(next(rows)) + "\n"
+    for i, (row, pos) in enumerate(zip(rows, trace.positions), 1):
+        if len(row) > 1:
+            row = list(row)
+            row[pos - 1] += MARKER
+        yield f"{i:>4} | " + " ".join(row) + "\n"
+
+
 def _fixture_text(name: str) -> str:
+    from importlib import resources     # only selftest needs it; it slows start-up
     return (resources.files("huffwyth") / "fixtures" / f"{name}.txt").read_text()
 
 
@@ -144,7 +140,7 @@ def run_selftest(out) -> int:
     failures = 0
     for stem, title, k in _EXAMPLES:
         trace = huffman.run_huffman(theorems.min_k_sequence(_EXAMPLE_N, k))
-        rendered, fixture = format_trace_table(trace), _fixture_text(stem)
+        rendered, fixture = "".join(_table_chunks(trace)), _fixture_text(stem)
         label = f"{stem} ({title}, n={_EXAMPLE_N})"
         if rendered == fixture:
             out(f"{label}: ok, total {trace.total}")
@@ -202,8 +198,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--tie", choices=[t.value for t in huffman.TiePolicy], default="before",
                    help="where the merged node lands among equal values")
-    p.add_argument("--marker", default=MARKER,
-                   help="suffix marking the merged value in table output")
 
     p = sub.add_parser("classify", help="order-classify a weight sequence")
     p.add_argument("--weights", required=True)
@@ -275,7 +269,7 @@ def _check_size(args) -> None:
     _check_output(args.command, _digits(total) + 2 * count)
 
 
-def _trace_chars(trace, fmt: str, marker: str) -> int:
+def _trace_chars(trace, fmt: str) -> int:
     """An upper bound on the characters of a trace in a format, from its 2n-1 values.
 
     Every step consumes the two smallest values left, so the value of rank
@@ -295,7 +289,7 @@ def _trace_chars(trace, fmt: str, marker: str) -> int:
     elif fmt == "csv":
         per_value, per_row = 1, 2 * width + 4
     else:
-        per_value, per_row = 1, width + 7 + len(marker)
+        per_value, per_row = 1, width + 7 + len(MARKER)
     return chars + per_value * (n * (n + 1) // 2 + n) + per_row * n + 64
 
 
@@ -308,13 +302,13 @@ def _cmd_huffman(args) -> int:
     if args.trace:
         trace = huffman.run_huffman(weights, policy)
         # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
-        _check_output("huffman --trace", _trace_chars(trace, args.format, args.marker))
+        _check_output("huffman --trace", _trace_chars(trace, args.format))
         if args.format == "json":
             chunks = chain(huffman._json_chunks(trace, 2), ("\n",))
         elif args.format == "csv":
             chunks = _csv_chunks(trace)
         else:
-            chunks = _table_chunks(trace, args.marker)
+            chunks = _table_chunks(trace)
         sys.stdout.writelines(chunks)
     if args.tree or args.codebook:
         tree = huffman.build_tree(weights, policy)

@@ -434,6 +434,8 @@ def wepl(tree: HuffmanTree) -> int:
     """Weighted external path length: sum over leaves of depth * weight.
 
     Summed, the internal weights count each leaf weight once per ancestor.
+    This needs each internal weight to be its children's sum, as in every
+    tree build_tree returns; a tree built by hand is not checked.
     """
     return sum(tree.weights[tree.size:])
 

@@ -126,13 +126,13 @@ def nested(tree):
     return nodes[-1]
 
 
-def reference_table(trace, marker="*"):
-    """The step table, one row per intermediate sequence, merged value marked."""
+def reference_table(trace):
+    """The step table, one row per intermediate sequence, merged value marked '*'."""
     lines = ["step | sequence"]
     for i, seq in enumerate(trace.sequences()):
         cells = [str(w) for w in seq]
         if i > 0 and len(seq) > 1:
-            cells[trace.positions[i - 1] - 1] += marker
+            cells[trace.positions[i - 1] - 1] += "*"
         lines.append(f"{i:>4} | {' '.join(cells)}")
     return "\n".join(lines) + "\n"
 

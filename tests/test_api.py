@@ -69,10 +69,12 @@ def test_int_argument_rule(call, name, least, below, takes_none):
         assert excinfo.type is ValueError
         assert str(excinfo.value) == f"{name} must be an int, got {value!r}"
     if least is not None:
-        with pytest.raises(below) as excinfo:
-            call(least - 1)
-        assert excinfo.type is below
-        expected = f"need {name} >= {least}, got {least - 1}"
-        if below is KOutOfRangeError:
-            expected = "need 0 <= k <= n-3 = 2, got -1"     # k's range is 0..n-3, here n = 5
-        assert str(excinfo.value) == expected
+        # one below the least value and further down: n = 2, 1, 0, -5, row -1, -2, ...
+        for value in (least - 1, least - 2, least - 3, -5):
+            with pytest.raises(below) as excinfo:
+                call(value)
+            assert excinfo.type is below
+            expected = f"need {name} >= {least}, got {value}"
+            if below is KOutOfRangeError:
+                expected = f"need 0 <= k <= n-3 = 2, got {value}"  # k's range is 0..n-3, here n = 5
+            assert str(excinfo.value) == expected

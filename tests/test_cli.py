@@ -152,29 +152,29 @@ def test_size_estimates_bound_the_output(capsys):
         assert sum(x.bit_length() for x in numbers) <= total, argv
 
 
-def _trace_text(trace, fmt, marker="*"):
+def _trace_text(trace, fmt):
     if fmt == "json":
         return huffman.trace_to_json(trace, 2) + "\n"
-    return "".join(cli._csv_chunks(trace) if fmt == "csv" else cli._table_chunks(trace, marker))
+    return "".join(cli._csv_chunks(trace) if fmt == "csv" else cli._table_chunks(trace))
 
 
 @given(st.sampled_from([3, 10**6, 10**40]).flatmap(
            lambda top: st.lists(st.integers(1, top), min_size=1, max_size=40)),
-       st.sampled_from(list(huffman.TiePolicy)), st.sampled_from(["*", "", "<-"]))
+       st.sampled_from(list(huffman.TiePolicy)))
 @settings(max_examples=200)
-def test_trace_size_bound_holds(weights, policy, marker):
+def test_trace_size_bound_holds(weights, policy):
     trace = run_huffman(sorted(weights), policy)
     for fmt in ("json", "csv", "table"):
-        assert len(_trace_text(trace, fmt, marker)) <= cli._trace_chars(trace, fmt, marker)
+        assert len(_trace_text(trace, fmt)) <= cli._trace_chars(trace, fmt)
 
 
 def test_trace_size_bound_admits_large_traces():
     # 3000 ones print 9.1 MB of CSV; n = 400 minimizers about 5.5 MB in any format
-    assert cli._trace_chars(run_huffman([1] * 3000), "csv", "*") <= cli._MAX_OUTPUT
+    assert cli._trace_chars(run_huffman([1] * 3000), "csv") <= cli._MAX_OUTPUT
     for k in (None, 5, 397):
         trace = run_huffman(theorems.min_k_sequence(400, k))
         for fmt in ("json", "csv", "table"):
-            assert cli._trace_chars(trace, fmt, "*") <= cli._MAX_OUTPUT
+            assert cli._trace_chars(trace, fmt) <= cli._MAX_OUTPUT
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
@@ -251,14 +251,6 @@ def test_huffman_unknown_tie_is_usage_error(capsys):
     rc, out, err = run(capsys, "huffman", "--weights", "1,2", "--tie", "sideways")
     assert rc == 1 and out == ""
     assert "argument --tie: invalid choice: 'sideways' (choose from 'before', 'after')" in err
-
-
-def test_huffman_custom_marker(capsys):
-    rc, out, _ = run(capsys, "huffman", "--weights", "1,1,2", "--trace",
-                     "--marker", "_")
-    assert rc == 0
-    assert "2_ 2" in out
-    assert "*" not in out
 
 
 def test_huffman_tree_and_codebook(capsys):

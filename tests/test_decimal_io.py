@@ -14,7 +14,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import fields, make_dataclass
 
 from huffwyth import cli
-from huffwyth.cli import _csv_chunks, format_trace_table
+from huffwyth.cli import _csv_chunks, _table_chunks
 from huffwyth.huffman import (NotSortedError, OrderClass, build_tree, run_huffman,
                               trace_from_json, trace_to_json, validate_weights)
 from huffwyth.numbers import _from_decimal, _to_decimal, fib
@@ -88,7 +88,7 @@ def test_trace_json_and_renderers_beyond_limit():
         text = trace_to_json(trace, indent=2)
         assert json.loads(text)["total"] == total
         assert trace_from_json(text) == trace
-        assert format_trace_table(trace).endswith(f"   1 | {total}\n")
+        assert "".join(_table_chunks(trace)).endswith(f"   1 | {total}\n")
         assert "".join(_csv_chunks(trace)).endswith(f"1,{total},1,{total}\n")
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from huffwyth import cli, huffman
-from huffwyth.cli import _csv_chunks, format_trace_table
+from huffwyth.cli import _csv_chunks, _table_chunks
 from huffwyth.huffman import HuffmanTrace, TiePolicy, run_huffman, trace_to_json
 from huffwyth.theorems import min_k_sequence
 from reference_huffman import reference_csv, reference_json, reference_table
@@ -15,21 +15,20 @@ render_weights = st.one_of(
 ).map(lambda ws: tuple(sorted(ws)))
 
 
-def assert_renders_like_reference(trace, marker, indent):
-    assert format_trace_table(trace, marker) == reference_table(trace, marker)
+def assert_renders_like_reference(trace, indent):
+    assert "".join(_table_chunks(trace)) == reference_table(trace)
     assert "".join(_csv_chunks(trace)) == reference_csv(trace)
     assert trace_to_json(trace, indent) == reference_json(trace, indent)
 
 
-@given(render_weights, st.sampled_from(list(TiePolicy)), st.text(max_size=3),
-       st.sampled_from([None, 0, 1, 2, 4, "\t"]))
-@example((4,), TiePolicy.MERGED_BEFORE_EQUALS, "*", None)
-@example((4,), TiePolicy.MERGED_AFTER_EQUALS, "*", 2)
-@example((2, 2), TiePolicy.MERGED_BEFORE_EQUALS, "<-", 2)
-@example((2, 2), TiePolicy.MERGED_AFTER_EQUALS, "", None)
-@example((1, 1, 1, 2, 2, 3, 3, 3), TiePolicy.MERGED_AFTER_EQUALS, "<-", None)
-def test_renderers_match_reference(weights, policy, marker, indent):
-    assert_renders_like_reference(run_huffman(weights, policy), marker, indent)
+@given(render_weights, st.sampled_from(list(TiePolicy)), st.sampled_from([None, 0, 1, 2, 4, "\t"]))
+@example((4,), TiePolicy.MERGED_BEFORE_EQUALS, None)
+@example((4,), TiePolicy.MERGED_AFTER_EQUALS, 2)
+@example((2, 2), TiePolicy.MERGED_BEFORE_EQUALS, 2)
+@example((2, 2), TiePolicy.MERGED_AFTER_EQUALS, None)
+@example((1, 1, 1, 2, 2, 3, 3, 3), TiePolicy.MERGED_AFTER_EQUALS, None)
+def test_renderers_match_reference(weights, policy, indent):
+    assert_renders_like_reference(run_huffman(weights, policy), indent)
 
 
 def test_renderers_match_reference_on_k_minimizer():
@@ -38,8 +37,8 @@ def test_renderers_match_reference_on_k_minimizer():
     k = random.Random(400).randrange(398)
     weights = min_k_sequence(400, k)
     for policy in TiePolicy:
-        for marker, indent in (("*", 2), ("<-", None)):
-            assert_renders_like_reference(run_huffman(weights, policy), marker, indent)
+        for indent in (2, None):
+            assert_renders_like_reference(run_huffman(weights, policy), indent)
 
 
 def test_rendering_builds_no_int_rows(monkeypatch):
@@ -48,7 +47,7 @@ def test_rendering_builds_no_int_rows(monkeypatch):
 
     monkeypatch.setattr(HuffmanTrace, "sequences", no_rows)
     trace = run_huffman(min_k_sequence(400, 7))
-    assert format_trace_table(trace).count("\n") == 401
+    assert "".join(_table_chunks(trace)).count("\n") == 401
     assert "".join(_csv_chunks(trace)).count("\n") == 401
     assert trace_to_json(trace, indent=2).startswith("{")
 
@@ -65,9 +64,8 @@ def _refuse(*args, **kwargs):
 def test_cli_streams_the_library_text(weights, tie, capsys, monkeypatch):
     trace = run_huffman(weights, TiePolicy(tie))
     want = {"json": trace_to_json(trace, 2) + "\n", "csv": "".join(_csv_chunks(trace)),
-            "table": format_trace_table(trace)}
+            "table": "".join(_table_chunks(trace))}
     monkeypatch.setattr(huffman, "trace_to_json", _refuse)
-    monkeypatch.setattr(cli, "format_trace_table", _refuse)
     argv = ["huffman", "--weights", ",".join(map(str, weights)), "--tie", tie, "--trace"]
     for fmt, text in want.items():
         assert cli.main(argv + ["--format", fmt]) == 0

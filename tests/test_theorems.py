@@ -172,18 +172,6 @@ def test_corollary_cost_formulas():
 
 # ------------------------------------------------------------ validation
 
-def test_size_validation():
-    for bad in (2, 1, 0, -5):
-        with pytest.raises(SizeTooSmallError):
-            min_k_sequence(bad, None)
-        with pytest.raises(SizeTooSmallError):
-            min_abs_cost(bad)
-        with pytest.raises(SizeTooSmallError):
-            min_k_cost(bad, None)
-        with pytest.raises(SizeTooSmallError):
-            corollary_sequences(bad)
-
-
 def test_k_validation():
     with pytest.raises(KOutOfRangeError):
         min_k_sequence(10, 8)

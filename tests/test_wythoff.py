@@ -93,14 +93,3 @@ def test_fib_row_identity_rejects_small_i():
         check_fib_row_identity(1, 5)
     with pytest.raises(ValueError):
         check_fib_row_identity(0, 5)
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        wythoff_entry(-1, 0)
-    with pytest.raises(ValueError):
-        wythoff_entry(0, -1)
-    with pytest.raises(ValueError):
-        wythoff_row(3, 0)
-    with pytest.raises(ValueError):
-        wythoff_row(-2, 4)

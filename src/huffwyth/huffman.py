@@ -32,7 +32,9 @@ int/str digit limit, and replay the rows over those strings.  JSON is
 written directly, not by the json module: every field is a digit string or
 an int, so nothing needs escaping, and the text is byte-identical to
 json.dumps of the same document at every indent.  Each renderer yields its
-text a row at a time, and the command line streams every format.
+text a row at a time; the command line counts those rows against its
+output limit and holds them, at most 20,000,000 characters, until the
+trace is complete.
 
 Ties.  When the merged sum equals an existing entry the insertion point is
 ambiguous and a TiePolicy resolves it:

@@ -128,7 +128,7 @@ def _scan_class(n, k, max_weight, limit):
     _check_k(n, k)
     if max_weight is not None:
         _check_int("max_weight", max_weight, 1)
-    _check_int("limit", limit)
+    _check_int("limit", limit, 0)
     # C(n+w-1, n) >= 2**min(n, w-1), and the default box has w >= F(n-1) + 2 >= n
     least = min(n, n if max_weight is None else max_weight) - 1
     if least >= limit.bit_length():
@@ -183,13 +183,13 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     heuristic, not a proven bound: a cheaper member with a larger weight
     would go unseen.  The walk is sequential and the report is
     deterministic.  n and k are checked as in theorems, max_weight must be
-    at least 1, and a box of more than limit tuples raises
-    SearchSpaceTooLargeError: at once where C(n+w-1, n) >= 2**min(n, w-1)
-    settles it, with w max_weight or n for the default box, or else on the
-    exact count.  The closed form is built first only to size the default
-    box; with an explicit max_weight it is built once the walk has found a
-    member, for the report, so an empty box raises EmptyClassError without
-    building it.
+    at least 1 and limit at least 0, and a box of more than limit tuples
+    raises SearchSpaceTooLargeError: at once where C(n+w-1, n) >=
+    2**min(n, w-1) settles it, with w max_weight or n for the default box,
+    or else on the exact count.  The closed form is built first only to size
+    the default box; with an explicit max_weight it is built once the walk
+    has found a member, for the report, so an empty box raises
+    EmptyClassError without building it.
     """
     return _scan_class(n, k, max_weight, limit)
 

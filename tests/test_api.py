@@ -55,7 +55,7 @@ INT_ARGUMENTS = [
                   takes_none=True),
     _int_argument("brute_force_min-max_weight", lambda v: brute_force_min(4, 0, max_weight=v),
                   "max_weight", 1, takes_none=True),
-    _int_argument("brute_force_min-limit", lambda v: brute_force_min(4, 0, limit=v), "limit"),
+    _int_argument("brute_force_min-limit", lambda v: brute_force_min(4, 0, limit=v), "limit", 0),
     _int_argument("brute_force_min_abs-n", brute_force_min_abs, "n", 3, SizeTooSmallError),
 ]
 

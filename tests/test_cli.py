@@ -7,7 +7,6 @@ import time
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from huffwyth import cli, huffman, oracle, theorems, wythoff
 from huffwyth.numbers import _from_decimal, fib
@@ -158,23 +157,25 @@ def _trace_text(trace, fmt):
     return "".join(cli._csv_chunks(trace) if fmt == "csv" else cli._table_chunks(trace))
 
 
-@given(st.sampled_from([3, 10**6, 10**40]).flatmap(
-           lambda top: st.lists(st.integers(1, top), min_size=1, max_size=40)),
-       st.sampled_from(list(huffman.TiePolicy)))
-@settings(max_examples=200)
-def test_trace_size_bound_holds(weights, policy):
-    trace = run_huffman(sorted(weights), policy)
-    for fmt in ("json", "csv", "table"):
-        assert len(_trace_text(trace, fmt)) <= cli._trace_chars(trace, fmt)
+def test_large_traces_print_in_full(capsys):
+    # n = 400 minimizers print about 5.5 MB in any format, 3000 ones 9.1 MB of CSV
+    runs = [(theorems.min_k_sequence(400, k), fmt)
+            for k in (None, 5, 397) for fmt in ("json", "csv", "table")]
+    for weights, fmt in runs + [([1] * 3000, "csv")]:
+        rc, out, _ = run(capsys, "huffman", "--weights", ",".join(map(str, weights)),
+                         "--trace", "--format", fmt)
+        assert rc == 0 and out == _trace_text(run_huffman(weights), fmt)
 
 
-def test_trace_size_bound_admits_large_traces():
-    # 3000 ones print 9.1 MB of CSV; n = 400 minimizers about 5.5 MB in any format
-    assert cli._trace_chars(run_huffman([1] * 3000), "csv") <= cli._MAX_OUTPUT
-    for k in (None, 5, 397):
-        trace = run_huffman(theorems.min_k_sequence(400, k))
-        for fmt in ("json", "csv", "table"):
-            assert cli._trace_chars(trace, fmt) <= cli._MAX_OUTPUT
+def test_huffman_trace_size_limit_is_exact(capsys):
+    # the CSV trace of 4457 ones is 19,998,673 characters, of 4458 ones just past the limit
+    rc, out, _ = run(capsys, "huffman", "--weights", ",".join(["1"] * 4457),
+                     "--trace", "--format", "csv")
+    assert (rc, len(out)) == (0, 19_998_673)
+    del out
+    rc, out, err = run(capsys, "huffman", "--weights", ",".join(["1"] * 4458),
+                       "--trace", "--format", "csv")
+    assert (rc, out) == (1, "") and "20000000 characters in all" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
@@ -183,7 +184,8 @@ def test_huffman_trace_past_the_size_limit(capsys, fmt):
     ones = ",".join(["1"] * 6000)
     rc, out, err = run(capsys, "huffman", "--weights", ones, "--trace", "--format", fmt)
     assert (rc, out) == (1, "")
-    assert "huffman --trace would print up to" in err and "20000000 characters in all" in err
+    assert err == ("error: huffman --trace would print more than 20000000 characters; "
+                   "the limit is 20000000 characters in all\n")
 
 
 # ------------------------------------------------------------ huffman command

@@ -53,7 +53,7 @@ def test_rendering_builds_no_int_rows(monkeypatch):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the command built the whole text")
+    raise AssertionError("the command rendered through trace_to_json")
 
 
 @pytest.mark.parametrize("weights", [

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,6 +181,20 @@ def test_k_validation():
         min_k_cost(5, 3)
     with pytest.raises(SizeTooSmallError):
         min_k_sequence(2, 0)
+
+
+@pytest.mark.parametrize("n, k, name", [(True, None, "n"), (5.0, None, "n"), ("5", 0, "n"),
+                                        (5, True, "k"), (5, False, "k"), (5, 1.0, "k")])
+def test_n_and_k_must_be_ints(n, k, name):
+    # a bool is an int to Python: k = True used to give the k = 1 sequence
+    message = re.escape(f"{name} must be an int, got {n if name == 'n' else k!r}")
+    calls = [lambda: min_k_sequence(n, k), lambda: min_k_cost(n, k)]
+    if k is None:
+        calls += [lambda: min_abs_cost(n), lambda: corollary_sequences(n)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+            call()
+        assert excinfo.type is ValueError
 
 
 @given(st.integers(min_value=3, max_value=60))

@@ -17,8 +17,8 @@ huffman --trace counts the text of its trace as it renders it and holds
 it, at most _MAX_OUTPUT characters, until it is complete, so a trace past
 that limit prints nothing.  verify exits 1 past _MAX_CANDIDATES
 candidates unless --limit sets another limit, and refuses a huge box
-before it builds the closed form or the count.  The library has no
-output limits.
+before it counts it, often before it builds the closed form.  The
+library has no output limits.
 """
 
 import argparse
@@ -79,9 +79,9 @@ def _csv_chunks(trace):
 
 def format_tree(tree) -> str:
     """Render a tree as indented lines: '+' internal nodes, '-' leaves."""
-    n = tree.size
-    lines = [f"{'  ' * depth}{'-' if v < n else '+'} {_to_decimal(tree.weights[v])}"
-             for v, depth in tree.preorder()]
+    n, (order, depth) = tree.size, huffman._walk(tree)
+    lines = [f"{'  ' * depth[v]}{'-' if v < n else '+'} {_to_decimal(tree.weights[v])}"
+             for v in order]
     return "\n".join(lines) + "\n"
 
 

@@ -68,12 +68,13 @@ the list holds the merged nodes newest first and then the leaves
 first (MERGED_AFTER_EQUALS).  No node is due before it exists, and a block
 of equal merged values is complete when first reached, as a later merge
 sums two entries of at least its value.  The list is two sorted runs, so
-the sort is one merge pass.  A child's index is always below its parent's,
-so one reverse pass gives every depth or codeword, and the walks keep an
-explicit stack: no tree operation recurses, at any height.  When a merge
-pairs a leaf with a subtree, the leaf becomes the right child; a chain of
-such merges therefore grows a left-sided tree, one where the right node
-of every sibling pair is a leaf.
+the sort is one merge pass.  One walk with an explicit stack gives the
+nodes in preorder, leaves left to right, and every depth; a child's index
+is always below its parent's, so codebook's one reverse pass gives every
+codeword.  No tree operation recurses, at any height.  When a merge pairs a
+leaf with a subtree, the leaf becomes the right child; a chain of such
+merges therefore grows a left-sided tree, one where the right node of every
+sibling pair is a leaf.
 
 Order classes.  With p2(i), p3(i) the second and third entries of P(i):
 
@@ -351,8 +352,8 @@ class HuffmanTree:
     right[q].  weights[v] is the weight of node v, and an internal node's
     weight is its children's sum.  Every child must have a lower index than
     its parent, as in each tree build_tree returns, so the root is the last
-    node.  Equality, hashing, repr and the walks below work on the tuples
-    without recursion, at any height.
+    node.  Equality, hashing, repr, the preorder walk and codebook's reverse
+    pass work on the tuples without recursion, at any height.
     """
 
     weights: tuple[int, ...]
@@ -365,17 +366,6 @@ class HuffmanTree:
     def size(self) -> int:
         """The number of leaves."""
         return len(self.left) + 1
-
-    def preorder(self):
-        """Yield (node, depth) for every node: a parent, its left subtree, its right subtree."""
-        n, left, right = self.size, self.left, self.right
-        stack = [(len(self.weights) - 1, 0)]
-        while stack:
-            v, depth = stack.pop()
-            yield v, depth
-            if v >= n:
-                stack.append((right[v - n], depth + 1))
-                stack.append((left[v - n], depth + 1))
 
 
 def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLICY) -> HuffmanTree:
@@ -399,37 +389,35 @@ def build_tree(weights: Iterable[int], tie_policy: TiePolicy = DEFAULT_TIE_POLIC
     return HuffmanTree(values, tuple(left), tuple(right))
 
 
-def _leaves(tree: HuffmanTree) -> list[int]:
-    """Leaf indices in left-to-right order."""
+def _walk(tree: HuffmanTree) -> tuple[list[int], list[int]]:
+    """Node indices in preorder (leaves left to right) and node depths by index, root 0."""
     n, left, right = tree.size, tree.left, tree.right
-    out, stack = [], [len(tree.weights) - 1]
+    order, depth = [], [0] * len(tree.weights)
+    stack = [len(tree.weights) - 1]
     while stack:
         v = stack.pop()
-        while v >= n:
-            stack.append(right[v - n])
-            v = left[v - n]
-        out.append(v)
-    return out
-
-
-def _depths(tree: HuffmanTree) -> list[int]:
-    """Node depths by index (root depth 0), in one pass from the root down."""
-    depth = [0] * len(tree.weights)
-    parents = range(len(tree.weights) - 1, tree.size - 1, -1)
-    for v, a, b in zip(parents, reversed(tree.left), reversed(tree.right)):
-        depth[a] = depth[b] = depth[v] + 1
-    return depth
+        d = depth[v]
+        while v >= n:     # down the left spine, the right children pushed
+            order.append(v)
+            d += 1
+            a, b = left[v - n], right[v - n]
+            depth[a] = depth[b] = d
+            stack.append(b)
+            v = a
+        order.append(v)
+    return order, depth
 
 
 def leaf_weights(tree: HuffmanTree) -> list[int]:
     """Leaf weights in left-to-right order."""
-    return [tree.weights[v] for v in _leaves(tree)]
+    n, weights = tree.size, tree.weights
+    return [weights[v] for v in _walk(tree)[0] if v < n]
 
 
 def leaf_depths(tree: HuffmanTree) -> list[int]:
     """Leaf depths in left-to-right order (root depth 0)."""
-    depth = _depths(tree)
-    return [depth[v] for v in _leaves(tree)]
+    n, (order, depth) = tree.size, _walk(tree)
+    return [depth[v] for v in order if v < n]
 
 
 def wepl(tree: HuffmanTree) -> int:
@@ -448,12 +436,12 @@ def codebook(tree: HuffmanTree) -> list[tuple[int, str]]:
     Left edges emit '0', right edges '1'.  A single-leaf tree gets the
     empty codeword.
     """
-    code = [""] * len(tree.weights)
-    parents = range(len(tree.weights) - 1, tree.size - 1, -1)
+    n, code = tree.size, [""] * len(tree.weights)
+    parents = range(len(tree.weights) - 1, n - 1, -1)
     for v, a, b in zip(parents, reversed(tree.left), reversed(tree.right)):
         # a parent's code is dropped once its children have theirs
         code[a], code[b], code[v] = code[v] + "0", code[v] + "1", None
-    return list(enumerate([code[v] for v in _leaves(tree)]))
+    return list(enumerate([code[v] for v in _walk(tree)[0] if v < n]))
 
 
 def is_elongated(tree: HuffmanTree) -> bool:

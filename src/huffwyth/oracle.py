@@ -137,6 +137,10 @@ def _scan_class(n, k, max_weight, limit):
     if max_weight is None:
         closed_seq = min_k_sequence(n, k)
         max_weight = max(closed_seq) + 2
+    # C(n+w-1, n) >= ((n+w-1)/n)**n, so past a huge limit no refusal counts the box
+    least = n * (((n + max_weight - 1) // n).bit_length() - 1)
+    if least >= limit.bit_length():
+        raise _too_large(f"at least 2**{_to_decimal(least)}", limit)
     total = math.comb(n + max_weight - 1, n)
     if total > limit:
         raise _too_large(_to_decimal(total), limit)
@@ -185,8 +189,10 @@ def brute_force_min(n, k, max_weight=None, limit=DEFAULT_CANDIDATE_LIMIT):
     deterministic.  n and k are checked as in theorems, max_weight must be
     at least 1 and limit at least 0, and a box of more than limit tuples
     raises SearchSpaceTooLargeError: at once where C(n+w-1, n) >=
-    2**min(n, w-1) settles it, with w max_weight or n for the default box,
-    or else on the exact count.  The closed form is built first only to size
+    2**min(n, w-1) settles it, with w max_weight or n for the default box;
+    then, before the count, where C(n+w-1, n) >= 2**(n*(b-1)) settles it,
+    with b the bit length of (n+w-1)//n; or else on the exact count.  The
+    closed form is built first only to size
     the default box; with an explicit max_weight it is built once the walk
     has found a member, for the report, so an empty box raises
     EmptyClassError without building it.

@@ -10,7 +10,8 @@ nested() turns the library's array tree into the same form.
 
 The reference renderers are the direct readings of the three trace formats:
 they walk the int rows and convert every cell with str().  The renderers in
-huffwyth must produce the same bytes.
+huffwyth must produce the same bytes, and so must the command line's tree
+outline as reference_outline renders the reference tree.
 
 reference_validate_weights is validate_weights by its loops alone, without
 the fast path for valid input: every input must meet the same result or
@@ -124,6 +125,23 @@ def nested(tree):
     for a, b, w in zip(tree.left, tree.right, tree.weights[tree.size:]):
         nodes.append(Internal(nodes[a], nodes[b], w))
     return nodes[-1]
+
+
+def reference_outline(tree):
+    """The --tree outline of a reference tree: '+' internal nodes, '-' leaves, in preorder.
+
+    Each node is indented two spaces a level.  An explicit stack of
+    (node, depth) pairs walks the tree, so a tree of any height renders.
+    """
+    lines, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Leaf):
+            lines.append(f"{'  ' * depth}- {node.weight}\n")
+        else:
+            lines.append(f"{'  ' * depth}+ {node.weight}\n")
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return "".join(lines)
 
 
 def reference_table(trace):

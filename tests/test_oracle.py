@@ -200,6 +200,9 @@ def test_brute_force_space_limit():
     start = time.perf_counter()
     with pytest.raises(SearchSpaceTooLargeError, match="exceed the limit of 100000000;"):
         brute_force_min(2000, None)
+    # past a huge limit the closed form sizes the box, but the count is never built
+    with pytest.raises(SearchSpaceTooLargeError, match=r"^at least 2\*\*2752000 candidates"):
+        brute_force_min(2000, None, limit=10 ** 5000)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,13 +1,15 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from huffwyth import cli, huffman
 from huffwyth.cli import _csv_chunks, _table_chunks
-from huffwyth.huffman import HuffmanTrace, TiePolicy, run_huffman, trace_to_json
+from huffwyth.huffman import HuffmanTrace, TiePolicy, build_tree, run_huffman, trace_to_json
 from huffwyth.theorems import min_k_sequence
-from reference_huffman import reference_csv, reference_json, reference_table
+from reference_huffman import (reference_csv, reference_json, reference_outline, reference_table,
+                               reference_tree)
 
 render_weights = st.one_of(
     st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=30),
@@ -70,3 +72,28 @@ def test_cli_streams_the_library_text(weights, tie, capsys, monkeypatch):
     for fmt, text in want.items():
         assert cli.main(argv + ["--format", fmt]) == 0
         assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_tree_outline_matches_reference(policy):
+    # every line of the outline, on sorted inputs with many equal weights
+    rng = random.Random(28)
+    for _ in range(120):
+        weights = tuple(sorted(rng.randint(1, 5) for _ in range(rng.randint(1, 60))))
+        want = reference_outline(reference_tree(weights, policy))
+        assert cli.format_tree(build_tree(weights, policy)) == want, weights
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_deep_tree_outline_needs_no_recursion(policy):
+    # the height n-1 tree of the absolutely ordered minimizer at n = 2000
+    weights = min_k_sequence(2000, None)
+    tree, want = build_tree(weights, policy), reference_outline(reference_tree(weights, policy))
+    assert want.count("\n") == 3999 and want.splitlines()[1999] == "  " * 1999 + "- 1"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = cli.format_tree(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
